@@ -4,9 +4,10 @@ Generator matrices travel in a plain text format: optional ``#`` comment
 lines, then k rows of n symbols from {0, 1, w, W} (w is the primitive
 element, W its square), whitespace between symbols optional.  Files emitted
 by subcommands carry a ``#`` provenance header recording the command line,
-the seed where applicable, and the SHA-256 of the parent file; thread count
-and timing never enter the header, so reruns of a seeded command are
-byte-identical regardless of parallelism.
+the seed where applicable, and the SHA-256 of the parent file; timing never
+enters the header, so reruns of a seeded command are byte-identical.
+Search is serial and its result depends only on the seed and the candidate
+index; ``search --threads`` is accepted and ignored.
 
 Exit codes: 0 success, 1 domain error (a JSON object describing it goes to
 standard error), 2 usage error.
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, linalg
-from .code import CodeSummary, LinearCode
+from .code import _DEFAULT_CLASS_BUDGET, CodeSummary, LinearCode
 from .errors import CodeFileError, Hlcd4Error
 from .gf4 import from_symbols, to_symbols
 from .search import SearchConfig, Strategy, VerifyStatus, search, verify_bounds
@@ -39,10 +40,6 @@ from .transform import (
 )
 
 _SYMBOL_SET = set("01wW")
-
-# Classes above this are not enumerated by `info` unless --exact-d is given;
-# covers every k <= 12 fully.
-_DEFAULT_CLASS_BUDGET = 10**7
 
 
 def parse_code_file(text: str) -> LinearCode:
@@ -138,7 +135,7 @@ def _coords(spec: str) -> list:
 
 def _cmd_info(args) -> int:
     code, _ = _read_code(args.file)
-    budget = None if args.exact_d else (args.budget or _DEFAULT_CLASS_BUDGET)
+    budget = None if args.exact_d else args.budget
     print(emit_summary(code.summarize(budget=budget), "json" if args.json else "text"))
     return 0
 
@@ -293,7 +290,7 @@ def _cmd_verify_table(args) -> int:
         if not path.is_file() or path.name.startswith("."):
             continue
         code = parse_code_file(path.read_text(encoding="utf-8"))
-        budget = None if args.exact_d else (args.budget or _DEFAULT_CLASS_BUDGET)
+        budget = None if args.exact_d else args.budget
         summaries.append(code.summarize(budget=budget))
         names.append(path.name)
     records = verify_bounds(summaries, table)
@@ -306,6 +303,13 @@ def _cmd_verify_table(args) -> int:
         if rec.status in (VerifyStatus.CONTRADICTION, VerifyStatus.NOT_LCD):
             ok = False
     return 0 if ok else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,7 +327,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--exact-d", action="store_true", help="never truncate the weight scan")
-    sp.add_argument("--budget", type=int, help="max enumerated classes for min weight")
+    sp.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=_DEFAULT_CLASS_BUDGET,
+        help="max enumerated classes for min weight (default %(default)s)",
+    )
     sp.set_defaults(func=_cmd_info)
 
     sp = sub.add_parser("dual", help="Hermitian dual code")
@@ -366,18 +375,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_pair_check)
 
     sp = sub.add_parser("search", help="seeded search for an LCD code")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--target-d", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
+    sp.add_argument("--k", type=_positive_int, required=True, help="at most --n")
+    sp.add_argument("--target-d", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True, help="explicit seed; no default")
-    sp.add_argument("--budget", type=int, default=100000, help="max candidates")
+    sp.add_argument("--budget", type=_positive_int, default=100000, help="max candidates")
     sp.add_argument(
         "--strategy",
         choices=[s.value for s in Strategy],
         default=Strategy.RANDOM.value,
     )
     sp.add_argument("--base", help="base code file (axy / puncture-shorten)")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="accepted and ignored: search is serial, and its result depends "
+        "only on the seed and the candidate index",
+    )
     add_output(sp)
     sp.set_defaults(func=_cmd_search)
 
@@ -385,7 +400,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--results", required=True, help="directory of code files")
     sp.add_argument("--bounds", help="bounds CSV (packaged table by default)")
     sp.add_argument("--exact-d", action="store_true")
-    sp.add_argument("--budget", type=int)
+    sp.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=_DEFAULT_CLASS_BUDGET,
+        help="max enumerated classes for min weight (default %(default)s)",
+    )
     sp.set_defaults(func=_cmd_verify_table)
 
     return p
@@ -394,6 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "search" and args.k > args.n:
+        parser.error(f"--k ({args.k}) must not exceed --n ({args.n})")
     try:
         return args.func(args)
     except Hlcd4Error as e:

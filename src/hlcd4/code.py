@@ -8,10 +8,12 @@ treated as trivially LCD (its hull is the zero space).
 Minimum weight is computed by enumerating one representative per projective
 message class: scalar multiples of a codeword share its weight, so only
 messages whose first nonzero symbol is 1 are visited, (4^k - 1)/3 classes in
-total.  Codewords are packed into two bit planes per machine word and
-updated incrementally along a binary reflected Gray walk of the message
-suffix, one table lookup and two XORs per class.  An independent oracle
-recomputes every codeword from scratch for cross-checking.
+total.  Codewords are packed into two bit planes (low and high bit of each
+symbol) of W = ceil(n/64) machine words each and updated incrementally along
+a binary reflected Gray walk of the message suffix, one table lookup and two
+XORs per class and word; the weight is the popcount summed over the words.
+One path serves every length.  An independent oracle recomputes every
+codeword from scratch for cross-checking.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ import numpy as np
 from . import linalg
 from .errors import BudgetExceededError, RankDeficientError, TooLargeError
 from .gf4 import MUL, from_symbols, to_symbols
+
+
+# Class budget for weight scans whose caller did not ask for an exact value
+# (``info``, ``verify-table``, the search post-check); covers every k <= 12
+# fully.
+_DEFAULT_CLASS_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -272,8 +280,9 @@ def min_weight_oracle(c: LinearCode) -> int:
 # ---------------------------------------------------------------------------
 # Packed projective-class enumeration (the hot path).
 #
-# A codeword splits into two bit planes (low bit, high bit).  Multiplying a
-# packed word (p0, p1) by a scalar permutes/mixes the planes:
+# A codeword splits into two bit planes (low bit, high bit), each W words
+# long.  Multiplying a packed word (p0, p1) by a scalar permutes/mixes the
+# planes, word by word:
 #   1 * (p0, p1) = (p0, p1)
 #   w * (p0, p1) = (p1, p0 ^ p1)
 #   w^2 * (p0, p1) = (p0 ^ p1, p0)
@@ -284,11 +293,17 @@ _CHUNK = 1 << 16
 
 
 def _pack_planes(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high bit planes of the rows, word-major: two (W, k) arrays.
+
+    W = ceil(n / 64); column j is bit j % 64 of word j // 64.
+    """
     n = gen.shape[1]
-    bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))[None, :]
-    p0 = ((gen & 1).astype(np.uint64) * bits).sum(axis=1, dtype=np.uint64)
-    p1 = ((gen >> 1).astype(np.uint64) * bits).sum(axis=1, dtype=np.uint64)
-    return p0, p1
+    cols = np.arange(n)
+    shifts = (cols & 63).astype(np.uint64)
+    starts = cols[::64]
+    p0 = np.bitwise_or.reduceat((gen & 1).astype(np.uint64) << shifts, starts, axis=1)
+    p1 = np.bitwise_or.reduceat((gen >> 1).astype(np.uint64) << shifts, starts, axis=1)
+    return p0.T, p1.T
 
 
 _TRIPLE_CACHE: dict = {}
@@ -304,6 +319,7 @@ def _light_min_weight(gen: np.ndarray) -> int:
     """
     k, n = gen.shape
     p0, p1 = _pack_planes(gen)
+    p0, p1 = p0[0], p1[0]
     # Scalar multiples of each row: low/high planes for factors 1, w, w^2.
     s0 = np.stack([p0, p1, p0 ^ p1])
     s1 = np.stack([p1, p0 ^ p1, p0])
@@ -347,30 +363,24 @@ def _scan_min_weight(
     reproducible.
     """
     k, n = gen.shape
-    if n <= 64:
-        return _scan_packed(gen, cutoff, budget)
-    return _scan_bigint(gen, cutoff, budget)
-
-
-def _scan_packed(gen, cutoff, budget):
-    k, n = gen.shape
     p0, p1 = _pack_planes(gen)
     state = _ScanState(best=n + 1)
 
     for lead in range(k):
         suffix = k - 1 - lead
-        start0, start1 = p0[lead], p1[lead]
         # Delta planes for toggling bit b of the suffix counter: even bits add
         # the row itself, odd bits add w times the row.
-        rows = np.arange(lead + 1, k)
-        d0 = np.empty(2 * suffix, dtype=np.uint64)
-        d1 = np.empty(2 * suffix, dtype=np.uint64)
-        d0[0::2] = p0[rows]
-        d1[0::2] = p1[rows]
-        d0[1::2] = p1[rows]
-        d1[1::2] = p0[rows] ^ p1[rows]
+        r0, r1 = p0[:, lead + 1 :], p1[:, lead + 1 :]
+        d0 = np.empty((p0.shape[0], 2 * suffix), dtype=np.uint64)
+        d1 = np.empty_like(d0)
+        d0[:, 0::2] = r0
+        d1[:, 0::2] = r1
+        d0[:, 1::2] = r1
+        d1[:, 1::2] = r0 ^ r1
 
-        done = _walk_gray(start0, start1, d0, d1, 4**suffix, state, cutoff, budget)
+        done = _walk_gray(
+            p0[:, lead].copy(), p1[:, lead].copy(), d0, d1, 4**suffix, state, cutoff, budget
+        )
         if done:
             return state.best, False, state.tried
         if budget is not None and state.tried >= budget and lead < k - 1:
@@ -379,10 +389,12 @@ def _scan_packed(gen, cutoff, budget):
     return state.best, True, state.tried
 
 
-def _walk_gray(start0, start1, d0, d1, count, state, cutoff, budget):
-    """Visit ``count`` codewords starting at (start0, start1); returns True to abort."""
-    carry0, carry1 = start0, start1
-    w0 = int(np.bitwise_count(carry0 | carry1))
+def _walk_gray(carry0, carry1, d0, d1, count, state, cutoff, budget):
+    """Visit ``count`` codewords starting at the W-word planes (carry0, carry1).
+
+    Advances the carries in place; returns True to abort.
+    """
+    w0 = int(np.bitwise_count(carry0 | carry1).sum())
     state.tried += 1
     if w0 < state.best:
         state.best = w0
@@ -399,61 +411,23 @@ def _walk_gray(start0, start1, d0, d1, count, state, cutoff, budget):
         ts = np.arange(t, stop, dtype=np.uint64)
         low = ts & (~ts + np.uint64(1))
         bit = np.log2(low.astype(np.float64)).astype(np.intp)
-        c0 = np.bitwise_xor.accumulate(d0[bit])
-        c1 = np.bitwise_xor.accumulate(d1[bit])
-        c0 ^= carry0
-        c1 ^= carry1
-        weights = np.bitwise_count(c0 | c1)
+        # One pass per word over contiguous 1-D arrays; the per-word counts
+        # are summed in a wider type, since a uint8 count wraps past n = 255.
+        for w in range(len(carry0)):
+            c0 = np.bitwise_xor.accumulate(d0[w][bit])
+            c1 = np.bitwise_xor.accumulate(d1[w][bit])
+            c0 ^= carry0[w]
+            c1 ^= carry1[w]
+            count_w = np.bitwise_count(c0 | c1)
+            weights = count_w if w == 0 else np.add(weights, count_w, dtype=np.intp)
+            carry0[w], carry1[w] = c0[-1], c1[-1]
         chunk_min = int(weights.min())
         state.tried += len(ts)
         if chunk_min < state.best:
             state.best = chunk_min
-        carry0, carry1 = c0[-1], c1[-1]
         t = stop
         if cutoff is not None and state.best < cutoff:
             return True
         if budget is not None and state.tried >= budget and t < count:
             return True
     return False
-
-
-def _scan_bigint(gen, cutoff, budget):
-    # Arbitrary-length fallback: Python ints as bit planes, same class order.
-    k, n = gen.shape
-    rows0 = []
-    rows1 = []
-    for i in range(k):
-        r0 = r1 = 0
-        for j in range(n):
-            r0 |= (int(gen[i, j]) & 1) << j
-            r1 |= (int(gen[i, j]) >> 1) << j
-        rows0.append(r0)
-        rows1.append(r1)
-
-    best = n + 1
-    tried = 0
-    for lead in range(k):
-        suffix = k - 1 - lead
-        deltas = []
-        for i in range(lead + 1, k):
-            deltas.append((rows0[i], rows1[i]))
-            deltas.append((rows1[i], rows0[i] ^ rows1[i]))
-        c0, c1 = rows0[lead], rows1[lead]
-        count = 4**suffix
-        for t in range(count):
-            if t:
-                b = (t & -t).bit_length() - 1
-                d = deltas[b]
-                c0 ^= d[0]
-                c1 ^= d[1]
-            w = (c0 | c1).bit_count()
-            tried += 1
-            if w < best:
-                best = w
-                if cutoff is not None and best < cutoff:
-                    return best, False, tried
-            if budget is not None and tried >= budget:
-                if lead == k - 1 and t == count - 1:
-                    return best, True, tried
-                return best, False, tried
-    return best, True, tried

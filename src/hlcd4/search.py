@@ -4,10 +4,11 @@ Three strategies:
 
 RANDOM draws standard-form generator matrices (I_k | A) with uniform A and
 keeps the first candidate that is LCD with minimum weight at or above the
-target.  Each candidate index seeds its own generator stream, so the result
-is a pure function of (seed, index): workers can evaluate disjoint index
-blocks in any order and the first-found selection (lowest index) is
-reproducible regardless of thread count.
+target.  Each candidate index seeds its own generator stream and candidates
+are tried serially in index order, so the result (the lowest hit index) is
+a pure function of (seed, index).  ``SearchConfig.threads`` is accepted and
+ignored: a thread pool over these small numpy calls ran slower than one
+thread.
 
 AXY_NEIGHBORHOOD hill-climbs from an LCD base code using the two-vector
 update: sample an isotropic pair, apply the update, accept moves that
@@ -27,7 +28,6 @@ typical random candidates after a tiny fraction of the scan.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -35,14 +35,19 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import linalg
-from .code import CodeSummary, LinearCode, _light_min_weight, _scan_min_weight
+from .code import (
+    _DEFAULT_CLASS_BUDGET,
+    CodeSummary,
+    LinearCode,
+    _light_min_weight,
+    _scan_min_weight,
+)
 from .errors import ExhaustedRetriesError, NoPairExistsError, PreconditionError
 from .gf4 import hermitian_inner, weight
 from .tables import BoundsTable
 from .transform import IsotropicPair, axy_construct, puncture, shorten
 
 _RETRY_CAP = 10000
-_BLOCK = 64
 
 
 class Strategy(Enum):
@@ -60,7 +65,7 @@ class SearchConfig:
     budget: int = 100000
     strategy: Strategy = Strategy.RANDOM
     base: Optional[LinearCode] = None
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: search is serial
     plateau_cap: int = 100
 
     def __post_init__(self):
@@ -82,7 +87,7 @@ class SearchResult:
 
 def _candidate_rng(seed: int, index: int) -> np.random.Generator:
     # One independent stream per candidate; the pair (seed, index) is the
-    # only input, so thread scheduling cannot perturb the draw.
+    # only input.
     return np.random.default_rng([seed, index])
 
 
@@ -188,29 +193,15 @@ def _weight_reaches(gen: np.ndarray, target: int) -> bool:
 
 
 def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
-    def evaluate(index: int) -> Optional[LinearCode]:
+    for index in range(config.budget):
         rng = _candidate_rng(config.seed, index)
         a = rng.integers(0, 4, size=(config.k, config.n - config.k), dtype=np.uint8)
         gen = np.hstack([linalg.identity(config.k), a])
         if not _weight_reaches(gen, config.target_d):
-            return None
+            continue
         code = LinearCode(gen)
-        if not code.is_lcd():
-            return None
-        return code
-
-    start = 0
-    while start < config.budget:
-        block = range(start, min(start + _BLOCK, config.budget))
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as ex:
-                hits = list(ex.map(evaluate, block))
-        else:
-            hits = [evaluate(i) for i in block]
-        for offset, code in enumerate(hits):
-            if code is not None:
-                return code, block[offset] + 1
-        start += _BLOCK
+        if code.is_lcd():
+            return code, index + 1
     return None, config.budget
 
 
@@ -313,7 +304,10 @@ def search(config: SearchConfig) -> SearchResult:
     else:
         found, tried = _search_puncture_shorten(config)
     elapsed = time.perf_counter() - start
-    summary = found.summarize() if found is not None else None
+    # The post-check needs only LCD and d >= target; the class budget keeps
+    # a large dual from stalling it.  A budget-stopped d is an upper bound,
+    # so d < target is still a real failure.
+    summary = found.summarize(budget=_DEFAULT_CLASS_BUDGET) if found is not None else None
     if summary is not None:
         if not summary.is_lcd or summary.d < config.target_d:
             raise AssertionError("search produced a non-conforming code")

@@ -40,7 +40,7 @@ from .errors import (
     PreconditionError,
     ZeroVectorError,
 )
-from .gf4 import CONJ, MUL, OMEGA2, from_symbols, hermitian_inner, to_symbols
+from .gf4 import MUL, OMEGA2, from_symbols, hermitian_inner, to_symbols
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,7 @@ def axy_construct(
 
     a = gen[:, k:]
     # Row-wise inner products of the A-block with y and with x.
-    ip_y = np.bitwise_xor.reduce(MUL[a, CONJ[y][None, :]], axis=1)
-    ip_x = np.bitwise_xor.reduce(MUL[a, CONJ[x][None, :]], axis=1)
+    ip_y, ip_x = linalg.multiply(a, linalg.conj_transpose(np.vstack([y, x]))).T
     a_new = a ^ MUL[ip_y[:, None], x[None, :]] ^ MUL[ip_x[:, None], y[None, :]]
     return LinearCode(np.hstack([linalg.identity(k), a_new]))
 
@@ -299,8 +298,8 @@ def orthonormalize(code: LinearCode) -> np.ndarray:
         v = W[step]
         rest = W[step + 1 :]
         if rest.shape[0]:
-            ips = np.bitwise_xor.reduce(MUL[rest, CONJ[v][None, :]], axis=1)
-            rest ^= MUL[ips[:, None], v[None, :]]
+            ips = linalg.multiply(rest, linalg.conj_transpose(v[None, :]))
+            rest ^= MUL[ips, v[None, :]]
     if not np.array_equal(linalg.gram(W), linalg.identity(k)):
         raise NotLcdError("orthonormalization failed to reach the identity Gram")
     return W

@@ -266,17 +266,25 @@ def test_domain_error_carries_location(tmp_path, capsys):
     assert err["line"] == 2 and err["column"] == 2
 
 
-def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--n", "10", "--k", "4"])  # missing required args
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--n", "10", "--k", "4", "--target-d", "2",
-                  "--seed", "1", "--strategy", "bogus"])
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(tmp_path, capsys):
+    path = write_code(tmp_path / "c.code", LinearCode.from_symbols(LCD_42))
+    search = ["search", "--seed", "1"]
+    for argv in (
+        ["no-such-command"],
+        ["search", "--n", "10", "--k", "4"],  # missing required args
+        [*search, "--n", "10", "--k", "4", "--target-d", "2", "--strategy", "bogus"],
+        [*search, "--n", "4", "--k", "5", "--target-d", "2"],  # k > n
+        [*search, "--n", "0", "--k", "4", "--target-d", "2"],
+        [*search, "--n", "10", "--k", "0", "--target-d", "2"],
+        [*search, "--n", "10", "--k", "4", "--target-d", "0"],
+        [*search, "--n", "10", "--k", "4", "--target-d", "2", "--budget", "-5"],
+        [*search, "--n", "10", "--k", "4", "--target-d", "2", "--threads", "0"],
+        ["info", path, "--budget", "0"],
+        ["verify-table", "--results", str(tmp_path), "--budget", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_version_flag(capsys):

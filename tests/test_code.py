@@ -8,7 +8,6 @@ from hlcd4.code import (
     CodeSummary,
     LinearCode,
     _light_min_weight,
-    _scan_bigint,
     _scan_min_weight,
     hull_dim_oracle,
     min_weight_oracle,
@@ -173,19 +172,29 @@ def test_light_min_weight_bounds(rng):
             assert d >= 4
 
 
-def test_bigint_scan_agrees_with_packed(rng):
-    for _ in range(20):
-        c = random_code(rng, int(rng.integers(4, 12)), int(rng.integers(1, 5)))
-        packed = _scan_min_weight(c.gen)
-        big = _scan_bigint(c.gen, None, None)
-        assert packed[0] == big[0] and packed[1] == big[1] is True
-
-
-def test_scan_handles_n_above_64(rng):
-    # lengths beyond one machine word fall back to arbitrary-size planes
-    for _ in range(5):
-        c = random_code(rng, 70, 4)
-        assert c.min_weight() == min_weight_oracle(c)
+def test_scan_handles_n_above_64(rng, monkeypatch):
+    # lengths on both sides of each 64-bit word boundary; a short chunk makes
+    # the walk carry every word across chunk boundaries
+    for n in (63, 64, 65, 127, 128, 129):
+        for k in (1, 3, 6):
+            c = random_code(rng, n, k)
+            d = min_weight_oracle(c)
+            assert c.min_weight() == d
+            with monkeypatch.context() as m:
+                m.setattr("hlcd4.code._CHUNK", 7)
+                assert c.min_weight() == d
+    # weights above 255 overflow a uint8 popcount sum
+    c = random_code(rng, 400, 2)
+    assert c.min_weight() == min_weight_oracle(c) > 255
+    # budget and cutoff behave as on a one-word code
+    c = random_code(rng, 70, 4)
+    classes = (4**4 - 1) // 3
+    d = c.min_weight(budget=classes)
+    assert d == min_weight_oracle(c)
+    with pytest.raises(BudgetExceededError):
+        c.min_weight(budget=classes - 1)
+    assert _scan_min_weight(c.gen, cutoff=d) == (d, True, classes)
+    assert _scan_min_weight(c.gen, cutoff=d + 1)[1] is False
 
 
 def test_summarize_round_trip(rng):

@@ -79,6 +79,15 @@ def test_random_strategy_target_one():
     assert r.found is not None and r.candidates_tried <= 3
 
 
+def test_search_post_check_is_budgeted():
+    # the hit comes at once; its 18-dimensional dual is too large to scan
+    # exactly, so the post-check stops at the class budget
+    r = search(SearchConfig(n=24, k=6, target_d=3, seed=1, budget=100))
+    assert r.found is not None
+    assert r.summary.is_lcd and r.summary.d >= 3
+    assert not r.summary.d_dual_exact
+
+
 def test_budget_exhaustion_returns_no_find():
     # Singleton bound caps d at n - k + 1 = 5; target 6 is unreachable
     r = search(SearchConfig(n=8, k=4, target_d=6, seed=1, budget=250))
