@@ -13,9 +13,9 @@ matrices:
   [14,10,3] random draws, seed 1 (hits immediately)
   [15,11,3] random draws, seed 1
 
-The [12,8,4] search scans ~59k candidates and takes a few seconds; the
-others are near-instant.  Every hit is re-verified with an exact minimum
-weight computation and checked against the shipped bounds table.
+The [12,8,4] search scans ~59k candidates and takes about two seconds;
+the others are near-instant.  Every hit is re-verified with an exact
+minimum weight computation and checked against the shipped bounds table.
 """
 
 from hlcd4 import (

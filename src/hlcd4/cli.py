@@ -312,6 +312,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hlcd4",
@@ -378,7 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--k", type=_positive_int, required=True, help="at most --n")
     sp.add_argument("--target-d", type=_positive_int, required=True)
-    sp.add_argument("--seed", type=int, required=True, help="explicit seed; no default")
+    sp.add_argument(
+        "--seed", type=_nonnegative_int, required=True, help="explicit seed >= 0; no default"
+    )
     sp.add_argument("--budget", type=_positive_int, default=100000, help="max candidates")
     sp.add_argument(
         "--strategy",

@@ -18,6 +18,8 @@ codeword from scratch for cross-checking.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -293,53 +295,78 @@ _CHUNK = 1 << 16
 
 
 def _pack_planes(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high bit planes of the rows, word-major: two (W, k) arrays.
+    """Low and high bit planes of the rows, word-major: two (..., W, k) arrays.
 
-    W = ceil(n / 64); column j is bit j % 64 of word j // 64.
+    ``gen`` is (..., k, n), with any leading batch axes; W = ceil(n / 64) and
+    column j is bit j % 64 of word j // 64.
     """
-    n = gen.shape[1]
+    n = gen.shape[-1]
     cols = np.arange(n)
     shifts = (cols & 63).astype(np.uint64)
     starts = cols[::64]
-    p0 = np.bitwise_or.reduceat((gen & 1).astype(np.uint64) << shifts, starts, axis=1)
-    p1 = np.bitwise_or.reduceat((gen >> 1).astype(np.uint64) << shifts, starts, axis=1)
-    return p0.T, p1.T
+    p0 = np.bitwise_or.reduceat((gen & 1).astype(np.uint64) << shifts, starts, axis=-1)
+    p1 = np.bitwise_or.reduceat((gen >> 1).astype(np.uint64) << shifts, starts, axis=-1)
+    return p0.swapaxes(-1, -2), p1.swapaxes(-1, -2)
 
 
-_TRIPLE_CACHE: dict = {}
+@functools.cache
+def _light_messages(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The projective messages of weight 1 to 3 on k rows, built once per k.
 
-
-def _light_min_weight(gen: np.ndarray) -> int:
-    """Minimum weight over codewords whose message has weight at most 3.
-
-    Requires a standard-form generator (I_k | A) with n <= 64.  There
-    wt(mG) >= wt(m), so every codeword of weight below 4 comes from a
-    message of weight at most 3: the returned value decides d >= t exactly
-    for any threshold t <= 4, and is an upper bound on d in general.
+    Returns (rows, weights).  ``rows`` is (3, N): each message is the sum of
+    three rows of a (3k + 1)-row table whose row 3i + f holds factor f
+    (1, w, w^2) times generator row i and whose last row is zero; the
+    leading factor is 1, one message per projective class.  ``weights`` is
+    the (N, 1) message weights.
     """
-    k, n = gen.shape
-    p0, p1 = _pack_planes(gen)
-    p0, p1 = p0[0], p1[0]
-    # Scalar multiples of each row: low/high planes for factors 1, w, w^2.
-    s0 = np.stack([p0, p1, p0 ^ p1])
-    s1 = np.stack([p1, p0 ^ p1, p0])
-    best = int(np.bitwise_count(p0 | p1).min())
-    if k >= 2:
-        iu, ju = np.triu_indices(k, 1)
-        c0 = p0[iu][:, None] ^ s0[:, ju].T
-        c1 = p1[iu][:, None] ^ s1[:, ju].T
-        best = min(best, int(np.bitwise_count(c0 | c1).min()))
-    if k >= 3:
-        if k not in _TRIPLE_CACHE:
-            from itertools import combinations
+    zero = 3 * k
+    pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2)
+    triples = np.array(list(itertools.combinations(range(k), 3)), dtype=np.intp).reshape(-1, 3)
+    i2, j2 = (3 * pairs.T)[:, :, None]
+    i3, j3, l3 = (3 * triples.T)[:, :, None, None]
+    f = np.arange(3)
+    # The three table rows of each message, by message weight; broadcasting
+    # runs the factors of the second and third rows over 1, w, w^2.
+    by_weight = [
+        (3 * np.arange(k), zero, zero),
+        (i2, j2 + f, zero),
+        (i3, j3 + f[:, None], l3 + f),
+    ]
+    rows = np.concatenate(
+        [np.stack(np.broadcast_arrays(*msgs)).reshape(3, -1) for msgs in by_weight], axis=1
+    )
+    weights = (rows != zero).sum(axis=0).astype(np.uint8)[:, None]
+    # Cached and shared by every caller, so read-only.
+    rows.setflags(write=False)
+    weights.setflags(write=False)
+    return rows, weights
 
-            _TRIPLE_CACHE[k] = np.array(list(combinations(range(k), 3)))
-        tri = _TRIPLE_CACHE[k]
-        i3, j3, l3 = tri[:, 0], tri[:, 1], tri[:, 2]
-        c0 = p0[i3][:, None, None] ^ s0[:, j3].T[:, :, None] ^ s0[:, l3].T[:, None, :]
-        c1 = p1[i3][:, None, None] ^ s1[:, j3].T[:, :, None] ^ s1[:, l3].T[:, None, :]
-        best = min(best, int(np.bitwise_count(c0 | c1).min()))
-    return best
+
+def _light_min_weight(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Minimum weight over messages of weight at most 3, for a batch of codes.
+
+    Batch-first: ``p0``/``p1`` are the (B, k) word-0 bit planes of B
+    standard-form generators (I_k | A) with n <= 64 (``_pack_planes`` of a
+    (B, k, n) block, word 0); returns the (B,) weights.  There
+    wt(mG) = wt(m) + wt(mA) >= wt(m), so every codeword of weight below 4
+    comes from a message of weight at most 3: each value decides d >= t
+    exactly for any threshold t <= 4, and is an upper bound on d in general.
+    """
+    batch, k = p0.shape
+    rows, weights = _light_messages(k)
+    # Only the A columns are combined, in the narrowest word that holds
+    # them; the identity part contributes the message weight.
+    dtype = np.min_scalar_type(int((p0 | p1).max()) >> k)
+    a0 = (p0 >> k).T.astype(dtype)
+    a1 = (p1 >> k).T.astype(dtype)
+    a01 = a0 ^ a1
+    # Batch on the last axis, so every gather below copies whole rows.
+    table = np.zeros((3 * k + 1, 2, batch), dtype=dtype)
+    table[:-1] = np.stack([a0, a1, a1, a01, a01, a0], axis=1).reshape(3 * k, 2, batch)
+    c = np.take(table, rows[0], axis=0)
+    c ^= np.take(table, rows[1], axis=0)
+    c ^= np.take(table, rows[2], axis=0)
+    return (np.bitwise_count(c[:, 0] | c[:, 1]) + weights).min(axis=0)
 
 
 @dataclass
@@ -409,8 +436,9 @@ def _walk_gray(carry0, carry1, d0, d1, count, state, cutoff, budget):
         if budget is not None:
             stop = min(stop, t + (budget - state.tried))
         ts = np.arange(t, stop, dtype=np.uint64)
-        low = ts & (~ts + np.uint64(1))
-        bit = np.log2(low.astype(np.float64)).astype(np.intp)
+        # Gray-walk ruler: the index of the lowest set bit of each t, as intp
+        # because gathers with uint8 indices run about 3x slower.
+        bit = (np.bitwise_count(ts ^ (ts - 1)) - 1).astype(np.intp)
         # One pass per word over contiguous 1-D arrays; the per-word counts
         # are summed in a wider type, since a uint8 count wraps past n = 255.
         for w in range(len(carry0)):

@@ -4,9 +4,12 @@ Three strategies:
 
 RANDOM draws standard-form generator matrices (I_k | A) with uniform A and
 keeps the first candidate that is LCD with minimum weight at or above the
-target.  Each candidate index seeds its own generator stream and candidates
-are tried serially in index order, so the result (the lowest hit index) is
-a pure function of (seed, index).  ``SearchConfig.threads`` is accepted and
+target.  Each candidate index seeds its own generator stream.  Candidates
+are drawn in blocks of B consecutive indices (B from k alone, at most 64);
+one vectorised light weight test covers the whole block, and only its
+survivors, in index order, take the class scan and the LCD check.  The
+result is therefore the lowest hit index, a pure function of (seed, index)
+that does not depend on B.  ``SearchConfig.threads`` is accepted and
 ignored: a thread pool over these small numpy calls ran slower than one
 thread.
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Iterable, Optional
 
 import numpy as np
@@ -40,6 +44,7 @@ from .code import (
     CodeSummary,
     LinearCode,
     _light_min_weight,
+    _pack_planes,
     _scan_min_weight,
 )
 from .errors import ExhaustedRetriesError, NoPairExistsError, PreconditionError
@@ -73,6 +78,8 @@ class SearchConfig:
             raise ValueError("target_d must be at least 1")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         if not 1 <= self.k <= self.n:
             raise ValueError("need 1 <= k <= n")
 
@@ -174,34 +181,39 @@ def _exact_weight_at_least(code: LinearCode, target: int) -> Optional[int]:
     return None
 
 
-def _weight_reaches(gen: np.ndarray, target: int) -> bool:
-    """True iff the standard-form generator's code has min weight >= target.
-
-    Tries the weight-3-message shortcut first: it rejects most random
-    candidates with a few hundred packed words and fully decides the
-    question when target <= 4; otherwise falls back to the class scan with
-    a cutoff.
-    """
-    k, n = gen.shape
-    if n <= 64:
-        if _light_min_weight(gen) < target:
-            return False
-        if target <= 4:
-            return True
-    best, exact, _ = _scan_min_weight(gen, cutoff=target)
-    return exact and best >= target
+def _block_size(k: int) -> int:
+    """Candidates per light-test block, from k alone: 64, or fewer where the
+    block's B * 9 C(k,3) weight-3 messages would pass 2^15; never below 1."""
+    return min(max(2**15 // max(1, 9 * comb(k, 3)), 1), 64)
 
 
 def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
-    for index in range(config.budget):
-        rng = _candidate_rng(config.seed, index)
-        a = rng.integers(0, 4, size=(config.k, config.n - config.k), dtype=np.uint8)
-        gen = np.hstack([linalg.identity(config.k), a])
-        if not _weight_reaches(gen, config.target_d):
-            continue
-        code = LinearCode(gen)
-        if code.is_lcd():
-            return code, index + 1
+    n, k, target = config.n, config.k, config.target_d
+    size = _block_size(k)
+    block = np.empty((size, k, n), dtype=np.uint8)
+    block[:, :, :k] = linalg.identity(k)
+    for start in range(0, config.budget, size):
+        stop = min(start + size, config.budget)
+        gens = block[: stop - start]
+        for j in range(stop - start):
+            rng = _candidate_rng(config.seed, start + j)
+            gens[j, :, k:] = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
+        # Below n = 65 the light test rejects most candidates and fully
+        # decides d >= target when target <= 4; the rest take the class scan.
+        if n <= 64:
+            p0, p1 = _pack_planes(gens)
+            survivors = np.flatnonzero(_light_min_weight(p0[:, 0], p1[:, 0]) >= target)
+        else:
+            survivors = range(len(gens))
+        for j in survivors:
+            gen = gens[j]
+            if n > 64 or target > 4:
+                best, exact, _ = _scan_min_weight(gen, cutoff=target)
+                if not (exact and best >= target):
+                    continue
+            code = LinearCode(gen)
+            if code.is_lcd():
+                return code, start + int(j) + 1
     return None, config.budget
 
 
@@ -241,10 +253,11 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         tried += 1
         if candidate.hull_dim() != hull:
             raise AssertionError("two-vector update changed the hull dimension")
-        if candidate.n <= 64 and _light_min_weight(candidate.gen) < current_d:
-            d = None
-        else:
-            d = _exact_weight_at_least(candidate, current_d)
+        rejected = False
+        if candidate.n <= 64:
+            p0, p1 = _pack_planes(candidate.gen[None])
+            rejected = _light_min_weight(p0[:, 0], p1[:, 0])[0] < current_d
+        d = None if rejected else _exact_weight_at_least(candidate, current_d)
         if d is not None and d > current_d:
             current, current_d, plateau = candidate, d, 0
         elif d is not None:

@@ -279,6 +279,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         [*search, "--n", "10", "--k", "4", "--target-d", "0"],
         [*search, "--n", "10", "--k", "4", "--target-d", "2", "--budget", "-5"],
         [*search, "--n", "10", "--k", "4", "--target-d", "2", "--threads", "0"],
+        ["search", "--seed", "-1", "--n", "10", "--k", "4", "--target-d", "2"],
         ["info", path, "--budget", "0"],
         ["verify-table", "--results", str(tmp_path), "--budget", "0"],
     ):

@@ -8,6 +8,7 @@ from hlcd4.code import (
     CodeSummary,
     LinearCode,
     _light_min_weight,
+    _pack_planes,
     _scan_min_weight,
     hull_dim_oracle,
     min_weight_oracle,
@@ -158,18 +159,24 @@ def test_min_weight_oracle_limits(rng):
 
 
 def test_light_min_weight_bounds(rng):
-    # light scan is exact below 4 and a valid upper bound in general
-    for _ in range(80):
-        n = int(rng.integers(6, 20))
-        k = int(rng.integers(1, min(n - 1, 9) + 1))
-        c = random_standard(rng, n, k)
-        light = _light_min_weight(c.gen)
-        d = c.min_weight()
-        assert d <= light
-        if light <= 3:
-            assert d == light
-        else:
-            assert d >= 4
+    # the batched light scan, row by row: exact below 4 and a valid upper
+    # bound in general; blocks of 1 to 5 codes, with k in {1, 2, 3} and n = 64
+    shapes = [(int(rng.integers(6, 20)), None) for _ in range(40)]
+    shapes += [(n, k) for n in (4, 64) for k in (1, 2, 3)]
+    for n, k in shapes:
+        if k is None:
+            k = int(rng.integers(1, min(n - 1, 9) + 1))
+        block = [random_standard(rng, n, k) for _ in range(int(rng.integers(1, 6)))]
+        p0, p1 = _pack_planes(np.stack([c.gen for c in block]))
+        light = _light_min_weight(p0[:, 0], p1[:, 0])
+        assert light.shape == (len(block),)
+        for c, w in zip(block, light):
+            d = c.min_weight()
+            assert d <= w
+            if w <= 3:
+                assert d == w
+            else:
+                assert d >= 4
 
 
 def test_scan_handles_n_above_64(rng, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hlcd4.code import CodeSummary, LinearCode
+from hlcd4.code import CodeSummary, LinearCode, _scan_min_weight
 from hlcd4.errors import (
     ExhaustedRetriesError,
     NoPairExistsError,
@@ -15,6 +15,7 @@ from hlcd4.search import (
     SearchResult,
     Strategy,
     VerifyStatus,
+    _block_size,
     elliptic_quadric_code,
     random_lcd,
     sample_isotropic_pair,
@@ -32,6 +33,8 @@ def test_config_validation():
         SearchConfig(n=10, k=4, target_d=3, seed=1, budget=0)
     with pytest.raises(ValueError):
         SearchConfig(n=4, k=5, target_d=1, seed=1)
+    with pytest.raises(ValueError):
+        SearchConfig(n=10, k=4, target_d=3, seed=-1)
 
 
 def test_random_lcd_deterministic_and_valid():
@@ -72,6 +75,43 @@ def test_random_strategy_finds_and_is_deterministic():
     for other in (again, threaded):
         assert other.candidates_tried == first.candidates_tried == 51
         assert np.array_equal(other.found.gen, first.found.gen)
+
+
+def _first_hit(config):
+    """(candidates tried, generator) of the lowest-index hit, one candidate at
+    a time: draw, exact cutoff scan, LCD check; no blocks, no light test."""
+    n, k, target = config.n, config.k, config.target_d
+    for index in range(config.budget):
+        rng = np.random.default_rng([config.seed, index])
+        a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
+        gen = np.hstack([np.eye(k, dtype=np.uint8), a])
+        best, exact, _ = _scan_min_weight(gen, cutoff=target)
+        if exact and best >= target and LinearCode(gen).is_lcd():
+            return index + 1, gen
+    return config.budget, None
+
+
+@pytest.mark.parametrize(
+    "n, k, target, seed",
+    [
+        (12, 6, 5, 34),  # target above 4: light test, then cutoff scan; hit at 120
+        (16, 10, 4, 9),  # the light test decides; 30 per block, hit at 32
+        (65, 3, 46, 1),  # n > 64 skips the light test; hit at 74
+        (8, 4, 6, 1),  # above the Singleton bound: every budget runs out
+    ],
+)
+def test_random_search_matches_candidate_loop(n, k, target, seed):
+    size = _block_size(k)
+    budgets = (1, size - 1, size, size + 1, 2 * size + 3)
+    hit, gen = _first_hit(SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=budgets[-1]))
+    for budget in budgets:
+        r = search(SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=budget))
+        assert type(r.candidates_tried) is int
+        if gen is not None and hit <= budget:
+            assert r.candidates_tried == hit
+            assert np.array_equal(r.found.gen, gen)
+        else:
+            assert r.found is None and r.candidates_tried == budget
 
 
 def test_random_strategy_target_one():
