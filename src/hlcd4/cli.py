@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, linalg
-from .code import _DEFAULT_CLASS_BUDGET, CodeSummary, LinearCode
+from .code import _DEFAULT_BUDGET, CodeSummary, LinearCode
 from .errors import CodeFileError, Hlcd4Error
 from .gf4 import from_symbols, to_symbols
 from .search import SearchConfig, Strategy, VerifyStatus, search, verify_bounds
@@ -337,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--budget",
         type=_positive_int,
-        default=_DEFAULT_CLASS_BUDGET,
-        help="max enumerated classes for min weight (default %(default)s)",
+        default=_DEFAULT_BUDGET,
+        help="max enumerated codewords for min weight (default %(default)s)",
     )
     sp.set_defaults(func=_cmd_info)
 
@@ -412,8 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--budget",
         type=_positive_int,
-        default=_DEFAULT_CLASS_BUDGET,
-        help="max enumerated classes for min weight (default %(default)s)",
+        default=_DEFAULT_BUDGET,
+        help="max enumerated codewords for min weight (default %(default)s)",
     )
     sp.set_defaults(func=_cmd_verify_table)
 

@@ -7,7 +7,7 @@ keeps the first candidate that is LCD with minimum weight at or above the
 target.  Each candidate index seeds its own generator stream.  Candidates
 are drawn in blocks of B consecutive indices (B from k alone, at most 64);
 one vectorised light weight test covers the whole block, and only its
-survivors, in index order, take the class scan and the LCD check.  The
+survivors, in index order, take the weight check and the LCD check.  The
 result is therefore the lowest hit index, a pure function of (seed, index)
 that does not depend on B.  ``SearchConfig.threads`` is accepted and
 ignored: a thread pool over these small numpy calls ran slower than one
@@ -40,12 +40,12 @@ import numpy as np
 
 from . import linalg
 from .code import (
-    _DEFAULT_CLASS_BUDGET,
+    _DEFAULT_BUDGET,
     CodeSummary,
     LinearCode,
     _light_min_weight,
+    _min_weight,
     _pack_planes,
-    _scan_min_weight,
 )
 from .errors import ExhaustedRetriesError, NoPairExistsError, PreconditionError
 from .gf4 import hermitian_inner, weight
@@ -175,9 +175,9 @@ def sample_isotropic_pair(length: int, rng) -> IsotropicPair:
 
 def _exact_weight_at_least(code: LinearCode, target: int) -> Optional[int]:
     """Exact minimum weight if it is >= target, else None (early abort)."""
-    best, exact, _ = _scan_min_weight(code.gen, cutoff=target)
-    if exact and best >= target:
-        return best
+    r = _min_weight(code.gen, cutoff=target)
+    if r.exact and r.best >= target:
+        return r.best
     return None
 
 
@@ -199,7 +199,7 @@ def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
             rng = _candidate_rng(config.seed, start + j)
             gens[j, :, k:] = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
         # Below n = 65 the light test rejects most candidates and fully
-        # decides d >= target when target <= 4; the rest take the class scan.
+        # decides d >= target when target <= 4; the rest take the engine.
         if n <= 64:
             p0, p1 = _pack_planes(gens)
             survivors = np.flatnonzero(_light_min_weight(p0[:, 0], p1[:, 0]) >= target)
@@ -208,8 +208,8 @@ def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         for j in survivors:
             gen = gens[j]
             if n > 64 or target > 4:
-                best, exact, _ = _scan_min_weight(gen, cutoff=target)
-                if not (exact and best >= target):
+                r = _min_weight(gen, cutoff=target)
+                if not (r.exact and r.best >= target):
                     continue
             code = LinearCode(gen)
             if code.is_lcd():
@@ -317,10 +317,10 @@ def search(config: SearchConfig) -> SearchResult:
     else:
         found, tried = _search_puncture_shorten(config)
     elapsed = time.perf_counter() - start
-    # The post-check needs only LCD and d >= target; the class budget keeps
+    # The post-check needs only LCD and d >= target; the codeword budget keeps
     # a large dual from stalling it.  A budget-stopped d is an upper bound,
     # so d < target is still a real failure.
-    summary = found.summarize(budget=_DEFAULT_CLASS_BUDGET) if found is not None else None
+    summary = found.summarize(budget=_DEFAULT_BUDGET) if found is not None else None
     if summary is not None:
         if not summary.is_lcd or summary.d < config.target_d:
             raise AssertionError("search produced a non-conforming code")

@@ -8,8 +8,8 @@ from hlcd4.code import (
     CodeSummary,
     LinearCode,
     _light_min_weight,
+    _min_weight,
     _pack_planes,
-    _scan_min_weight,
     hull_dim_oracle,
     min_weight_oracle,
 )
@@ -142,13 +142,16 @@ def test_min_weight_known_codes():
 
 
 def test_min_weight_budget_semantics(rng):
-    c = random_standard(rng, 16, 6)
-    classes = (4**6 - 1) // 3
-    # the full enumeration completes exactly at the class count
-    assert c.min_weight(budget=classes) == c.min_weight()
-    with pytest.raises(BudgetExceededError) as exc:
-        c.min_weight(budget=classes - 1)
-    assert exc.value.upper_bound >= c.min_weight()
+    # the budget counts enumerated codewords: a run completes exactly at its
+    # own count, on the Gray walk (k = 6) and on information sets (k = 10)
+    cases = [(random_standard(rng, 16, 6), "gray"), (random_standard(rng, 30, 10), "bound")]
+    for c, stop in cases:
+        r = _min_weight(c.gen)
+        assert r.exact and r.stop == stop
+        assert c.min_weight(budget=r.tried) == c.min_weight() == r.best
+        with pytest.raises(BudgetExceededError) as exc:
+            c.min_weight(budget=r.tried - 1)
+        assert exc.value.upper_bound >= r.best
     with pytest.raises(ValueError):
         LinearCode(np.zeros((0, 4), dtype=np.uint8)).min_weight()
 
@@ -195,13 +198,14 @@ def test_scan_handles_n_above_64(rng, monkeypatch):
     assert c.min_weight() == min_weight_oracle(c) > 255
     # budget and cutoff behave as on a one-word code
     c = random_code(rng, 70, 4)
-    classes = (4**4 - 1) // 3
-    d = c.min_weight(budget=classes)
+    tried = _min_weight(c.gen).tried
+    d = c.min_weight(budget=tried)
     assert d == min_weight_oracle(c)
-    with pytest.raises(BudgetExceededError):
-        c.min_weight(budget=classes - 1)
-    assert _scan_min_weight(c.gen, cutoff=d) == (d, True, classes)
-    assert _scan_min_weight(c.gen, cutoff=d + 1)[1] is False
+    with pytest.raises(BudgetExceededError) as exc:
+        c.min_weight(budget=tried - 1)
+    assert exc.value.upper_bound >= d
+    assert _min_weight(c.gen, cutoff=d)[:2] == (d, True)
+    assert _min_weight(c.gen, cutoff=d + 1).exact is False
 
 
 def test_summarize_round_trip(rng):

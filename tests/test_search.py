@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hlcd4.code import CodeSummary, LinearCode, _scan_min_weight
+from hlcd4 import linalg
+from hlcd4.code import CodeSummary, LinearCode, _gray_weight, _light_min_weight, _pack_planes
 from hlcd4.errors import (
     ExhaustedRetriesError,
     NoPairExistsError,
@@ -79,14 +80,14 @@ def test_random_strategy_finds_and_is_deterministic():
 
 def _first_hit(config):
     """(candidates tried, generator) of the lowest-index hit, one candidate at
-    a time: draw, exact cutoff scan, LCD check; no blocks, no light test."""
+    a time: draw, Gray-walk cutoff scan, LCD check; no blocks, no light test."""
     n, k, target = config.n, config.k, config.target_d
     for index in range(config.budget):
         rng = np.random.default_rng([config.seed, index])
         a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
         gen = np.hstack([np.eye(k, dtype=np.uint8), a])
-        best, exact, _ = _scan_min_weight(gen, cutoff=target)
-        if exact and best >= target and LinearCode(gen).is_lcd():
+        r = _gray_weight(gen, cutoff=target)
+        if r.exact and r.best >= target and LinearCode(gen).is_lcd():
             return index + 1, gen
     return config.budget, None
 
@@ -120,12 +121,16 @@ def test_random_strategy_target_one():
 
 
 def test_search_post_check_is_budgeted():
-    # the hit comes at once; its 18-dimensional dual is too large to scan
-    # exactly, so the post-check stops at the class budget
+    # the hit comes at once; its 18-dimensional dual is far too large for the
+    # Gray walk, but the engine gets its distance exactly within the budget
     r = search(SearchConfig(n=24, k=6, target_d=3, seed=1, budget=100))
     assert r.found is not None
     assert r.summary.is_lcd and r.summary.d >= 3
-    assert not r.summary.d_dual_exact
+    assert r.summary.d_dual_exact and r.summary.d_dual == 3
+    # the light test is exact below 4 on the dual's standard form
+    dual = linalg.standard_form(r.found.hermitian_dual().gen).matrix
+    p0, p1 = _pack_planes(dual[None])
+    assert _light_min_weight(p0[:, 0], p1[:, 0])[0] == 3
 
 
 def test_budget_exhaustion_returns_no_find():
