@@ -296,8 +296,8 @@ def min_weight_oracle(c: LinearCode) -> int:
 
 
 # Codewords per enumerated chunk, on either path.  Gray-walk chunks of 2^16
-# ran no faster than 2^14 and took about 3 MiB more peak memory.
-_CHUNK = 1 << 14
+# ran no faster than 2^13 and took about 4 MiB more peak memory.
+_CHUNK = 1 << 13
 
 
 def _pack_planes(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -586,6 +586,7 @@ def _min_weight(
         # Unseen codewords weigh at least ``bound``, seen ones at least
         # ``best``: the distance is at least the smaller of the two.
         return _Weight(state.best, exact, state.tried, min(bound, state.best), stop)
+
     round_done = 0
     for w, j, v in _schedule(k, deficits, [0] * len(sets)):
         if w > round_done:
@@ -635,33 +636,21 @@ def _min_weight(
 
 
 def _gray_weight(gen, cutoff=None, budget=None, state=None, bound=1) -> _Weight:
-    """The Gray walk over every projective class as an engine result.
-
-    It counts on from ``state`` (best and tried so far) when given, and
-    reports ``bound`` as the lower bound when it stops early.
-    """
-    if state is None:
-        state = _ScanState(best=gen.shape[1] + 1)
-    if _gray_walk(gen, state, cutoff, budget):
-        return _Weight(state.best, True, state.tried, state.best, "gray")
-    stop = "cutoff" if cutoff is not None and state.best < cutoff else "budget"
-    return _Weight(state.best, False, state.tried, min(bound, state.best), stop)
-
-
-def _gray_walk(gen, state, cutoff, budget) -> bool:
-    """Enumerate one codeword per projective message class; True when every
-    class was visited.
+    """Enumerate one codeword per projective message class.
 
     Classes go by the leading nonzero message position, then by a Gray walk
-    of the suffix, so budgets are reproducible.  The walk stops early once
-    ``state.best`` falls below ``cutoff`` or ``state.tried`` reaches
-    ``budget``.
+    of the suffix, so budgets are reproducible.  The walk counts on from
+    ``state`` (best and tried so far) when given, and stops early once the
+    best weight falls below ``cutoff`` or ``budget`` codewords have been
+    enumerated, reporting ``bound`` as the lower bound.
     """
     k, n = gen.shape
+    if state is None:
+        state = _ScanState(best=n + 1)
     p0, p1 = _pack_planes(gen)
     for lead in range(k):
         if budget is not None and state.tried >= budget:
-            return False
+            break
         suffix = k - 1 - lead
         # Delta planes for toggling bit b of the suffix counter: even bits add
         # the row itself, odd bits add w times the row.
@@ -674,8 +663,11 @@ def _gray_walk(gen, state, cutoff, budget) -> bool:
         d1[:, 1::2] = r0 ^ r1
         carry0, carry1 = p0[:, lead].copy(), p1[:, lead].copy()
         if _walk_gray(carry0, carry1, d0, d1, 4**suffix, state, cutoff, budget):
-            return False
-    return True
+            break
+    else:
+        return _Weight(state.best, True, state.tried, state.best, "gray")
+    stop = "cutoff" if cutoff is not None and state.best < cutoff else "budget"
+    return _Weight(state.best, False, state.tried, min(bound, state.best), stop)
 
 
 def _walk_gray(carry0, carry1, d0, d1, count, state, cutoff, budget):
