@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlcd4.code import LinearCode, _gray_weight, _min_weight, min_weight_oracle
@@ -55,18 +55,44 @@ def generators(draw):
     return scramble(rng, gen)
 
 
+# k = 1 (with zero and repeated columns) and k = n
+K_ONE = np.array([[0, 1, 2, 0, 3, 3, 1]], dtype=np.uint8)
+K_FULL = np.array([[1, 2, 0], [1, 3, 3], [2, 0, 1]], dtype=np.uint8)
+# [12,7,3] and [10,6,3] codes whose weight-3 words the information sets
+# reach only after the partial second set (deficit 2) has caught up on
+# message weights 1 and 2.
+LATE = [
+    np.hstack([np.eye(len(a), dtype=np.uint8), np.array(a, dtype=np.uint8)])
+    for a in (
+        [[3, 0, 2, 0, 1], [0, 1, 0, 1, 1], [1, 1, 0, 1, 3], [1, 3, 1, 3, 1],
+         [3, 1, 2, 1, 1], [0, 2, 2, 3, 3], [3, 2, 0, 0, 2]],
+        [[2, 1, 1, 0], [3, 0, 2, 2], [1, 1, 3, 1], [2, 1, 2, 3], [0, 2, 2, 2], [2, 0, 3, 2]],
+    )
+]
+
+
 @PROPERTY
 @given(generators())
+@example(K_ONE)
+@example(K_FULL)
+@example(LATE[0])
+@example(LATE[1])
 def test_engine_matches_oracle(gen):
     d = min_weight_oracle(LinearCode(gen))
     for mode in MODES:
         r = engine(gen, mode)
         assert (r.best, r.exact, r.bound) == (d, True, d), mode
         assert r.stop in ("bound", "gray")
+        # a budget of the run's own count completes; one less does not
+        assert engine(gen, mode, budget=r.tried) == r, mode
+        if r.tried > 1:
+            assert engine(gen, mode, budget=r.tried - 1).stop == "budget", mode
 
 
 @PROPERTY
 @given(generators(), st.integers(1, 130), st.integers(1, 2000))
+@example(K_ONE, 5, 1)
+@example(K_FULL, 2, 2)
 def test_engine_cutoff_and_budget(gen, t, budget):
     # the cutoff decision is the Gray walk's; a budget-stopped run brackets d
     gray = _gray_weight(gen, cutoff=t)
