@@ -11,11 +11,13 @@ Codewords are packed into two bit planes (low and high bit of each symbol) of
 W = ceil(n/64) machine words each; the weight is the popcount summed over the
 words.  The engine enumerates messages by weight over several information
 sets (Brouwer-Zimmermann) and stops once a lower bound on the weight of every
-codeword not yet seen meets the best weight found.  Where closing that bound
-would cost more than visiting all (4^k - 1)/3 projective classes, it walks
-them instead, along a binary reflected Gray code of the message suffix, one
-table lookup and two XORs per class and word.  An enumeration budget counts
-the codewords either path visits.  An independent oracle recomputes every
+codeword not yet seen meets the best weight found.  The path is chosen once,
+before any enumeration: where closing that bound is projected to cost more
+than visiting all (4^k - 1)/3 projective classes, the engine walks them
+instead, along a binary reflected Gray code of the message suffix, one table
+lookup and two XORs per class and word.  Both paths feed one loop that
+applies the bound, the cutoff and the enumeration budget, which counts the
+codewords either path visits.  An independent oracle recomputes every
 codeword from scratch for cross-checking.
 """
 
@@ -213,29 +215,22 @@ class LinearCode:
         A zero code (the code itself with k = 0, or the dual of a full code)
         has no nonzero codewords; its weight is reported as 0.
         """
-        d_exact = d_dual_exact = True
-        if self.k == 0:
-            d = 0
-        else:
-            try:
-                d = self.min_weight(budget=budget)
-            except BudgetExceededError as e:
-                d, d_exact = e.upper_bound, False
-        dual = self.hermitian_dual()
-        if dual.k == 0:
-            d_dual = 0
-        else:
-            try:
-                d_dual = dual.min_weight(budget=budget)
-            except BudgetExceededError as e:
-                d_dual, d_dual_exact = e.upper_bound, False
+        def weight(code):
+            if code.k == 0:
+                return 0, True
+            r = _min_weight(code.gen, budget=budget)
+            return r.best, r.exact
+
+        d, d_exact = weight(self)
+        d_dual, d_dual_exact = weight(self.hermitian_dual())
+        hull_dim = self.hull_dim()
         return CodeSummary(
             n=self.n,
             k=self.k,
             d=d,
             d_dual=d_dual,
-            hull_dim=self.hull_dim(),
-            is_lcd=self.is_lcd(),
+            hull_dim=hull_dim,
+            is_lcd=hull_dim == 0,
             is_even=self.is_even(),
             d_exact=d_exact,
             d_dual_exact=d_dual_exact,
@@ -403,12 +398,6 @@ _CHUNK_COST = 500
 _SET_COST = 1800
 
 
-@dataclass
-class _ScanState:
-    best: int
-    tried: int = 0
-
-
 class _Weight(NamedTuple):
     """What one minimum-weight computation found.
 
@@ -430,13 +419,12 @@ class _Weight(NamedTuple):
 
 @dataclass
 class _InfoSet:
-    """One information set and its enumeration progress."""
+    """One information set and its kept layer."""
 
     deficit: int
     # (W, k, 3) planes of f times row i of A_j, f = 1, w, w^2.
     rows0: np.ndarray
     rows1: np.ndarray
-    done: int = 0  # every message of weight <= done has been enumerated
     # The kept layer: codewords of every message of weight ``kept``, grouped
     # by the message's last row, as (W, N) planes; at first the rows.
     kept: int = 1
@@ -488,15 +476,34 @@ def _layer_size(k: int, v: int) -> int:
 
 
 def _layer_chunks(s: _InfoSet, v: int):
-    """The codewords of every weight-v message on set ``s``, in chunks of at
-    most ``_CHUNK``, as (W, N) planes of the redundant columns.
+    """The weights of the codewords of every weight-v message on set ``s``,
+    in chunks of at most ``_CHUNK``.
 
     A message splits into its ``s.kept`` first rows, whose codewords are the
     kept layer (leading coefficient 1), and its t = v - s.kept last rows,
     which take every coefficient; kept codewords whose rows all precede row
     l form a prefix of the layer, C(l, kept) 3^(kept - 1) long.  With
-    t = 1 the chunks come out grouped by last row, ready to keep.
+    t = 1 the chunks come out grouped by last row, so a layer of at most one
+    chunk becomes the kept layer once it has been enumerated.
     """
+    words, k, _ = s.rows0.shape
+    keep = s.kept == v - 1 and _layer_size(k, v) <= _CHUNK
+    kept = []
+    for c0, c1 in _layer_planes(s, v):
+        counts = np.bitwise_count(c0 | c1)
+        counts = counts[0] if words == 1 else counts.sum(axis=0, dtype=np.intp)
+        # The message's own v nonzeros, in a type that cannot wrap.
+        yield counts + np.intp(v)
+        if keep:
+            kept.append((c0, c1))
+    if keep:
+        s.kept = v
+        s.layer0 = np.concatenate([c[0] for c in kept], axis=1)
+        s.layer1 = np.concatenate([c[1] for c in kept], axis=1)
+
+
+def _layer_planes(s: _InfoSet, v: int):
+    """The (W, N) planes of the redundant columns behind ``_layer_chunks``."""
     words, k, _ = s.rows0.shape
     if v == 1:
         yield s.layer0, s.layer1
@@ -520,33 +527,135 @@ def _layer_chunks(s: _InfoSet, v: int):
             )
 
 
-def _schedule(k: int, deficits: list[int], done: list[int]):
-    """The (round, set, message weight) steps of the enumeration.
+def _schedule(k: int, deficits: list[int]):
+    """The (set, message weight) steps of the enumeration.
 
     Round w brings every set to message weight w, except sets whose deficit
     is above w: they would add nothing to the bound yet, and catch up in the
     first round that lets them.
     """
-    done = list(done)
+    done = [0] * len(deficits)
     for w in range(1, k + 1):
         for j, deficit in enumerate(deficits):
             while deficit <= w and done[j] < w:
                 done[j] += 1
-                yield w, j, done[j]
+                yield j, done[j]
 
 
-def _enumeration_cost(k, words, deficits, done, target) -> float:
-    """Projected cost of enumerating on from ``done`` until the lower bound
-    reaches ``target`` or every message has been enumerated."""
-    bound = sum(max(0, v + 1 - d) for v, d in zip(done, deficits))
+def _enumeration_cost(k, words, deficits, target) -> float:
+    """Projected cost of enumerating until the lower bound reaches
+    ``target`` or every message has been enumerated."""
+    bound = deficits.count(0)
     cost = 0
-    for _, j, v in _schedule(k, deficits, done):
+    for j, v in _schedule(k, deficits):
         if bound >= target:
             break
         size = _layer_size(k, v)
         cost += _CODEWORD_COST * words * size + _CHUNK_COST * (k - v + 1 + size // _CHUNK)
         bound += v >= deficits[j]
     return cost
+
+
+def _set_layers(gen: np.ndarray):
+    """The information-set enumeration as ``_enumerate`` layers, one per
+    (set, message weight) step, each with the lower bound it starts from."""
+    sets = _information_sets(gen)
+    deficits = [s.deficit for s in sets]
+    # Every nonzero codeword has a nonzero on each full set.
+    bound = deficits.count(0)
+    for j, v in _schedule(len(gen), deficits):
+        yield bound, _layer_chunks(sets[j], v)
+        bound += v >= deficits[j]
+    # Set 0 has enumerated every message: nothing is left unseen, and the
+    # bound, at least one more than the nonzero columns, exceeds every weight.
+    yield bound, ()
+
+
+def _gray_chunks(gen: np.ndarray):
+    """The weight of one codeword per projective message class, in chunks
+    of at most ``_CHUNK``.
+
+    Classes go by the leading nonzero message position, then by a Gray walk
+    of the suffix, so budgets are reproducible.
+    """
+    p0, p1 = _pack_planes(gen)
+    words, k = p0.shape
+    for lead in range(k):
+        suffix = k - 1 - lead
+        # Delta planes for toggling bit b of the suffix counter: even bits add
+        # the row itself, odd bits add w times the row.
+        r0, r1 = p0[:, lead + 1 :], p1[:, lead + 1 :]
+        d0 = np.empty((words, 2 * suffix), dtype=np.uint64)
+        d1 = np.empty_like(d0)
+        d0[:, 0::2] = r0
+        d1[:, 0::2] = r1
+        d0[:, 1::2] = r1
+        d1[:, 1::2] = r0 ^ r1
+        carry0, carry1 = p0[:, lead].copy(), p1[:, lead].copy()
+        yield np.bitwise_count(carry0 | carry1).sum(dtype=np.intp, keepdims=True)
+        count = 4**suffix
+        for t in range(1, count, _CHUNK):
+            ts = np.arange(t, min(t + _CHUNK, count), dtype=np.uint64)
+            # Gray-walk ruler: the index of the lowest set bit of each t, as
+            # intp because gathers with uint8 indices run about 3x slower.
+            bit = (np.bitwise_count(ts ^ (ts - 1)) - 1).astype(np.intp)
+            # One pass per word over contiguous 1-D arrays; the per-word
+            # counts are summed in a wider type, since a uint8 count wraps
+            # past n = 255.
+            for w in range(words):
+                c0 = np.bitwise_xor.accumulate(d0[w][bit])
+                c1 = np.bitwise_xor.accumulate(d1[w][bit])
+                c0 ^= carry0[w]
+                c1 ^= carry1[w]
+                count_w = np.bitwise_count(c0 | c1)
+                weights = count_w if w == 0 else np.add(weights, count_w, dtype=np.intp)
+                carry0[w], carry1[w] = c0[-1], c1[-1]
+            yield weights
+
+
+def _enumerate(layers, n: int, cutoff: Optional[int], budget: Optional[int]) -> _Weight:
+    """The enumeration loop of both paths, and every rule that stops it.
+
+    ``layers`` yields (bound, chunks): ``bound`` is a lower bound on the
+    weight of every codeword not enumerated before the layer, and
+    ``chunks`` yields the weights of the layer's codewords in arrays.  The
+    loop stops, exact, once the bound meets the best weight seen or a
+    codeword at or below the bound turns up; not exact, at the first
+    codeword below ``cutoff``, or once ``budget`` codewords have been
+    counted.  The Gray walk is one layer with bound 0, which never ends it.
+    """
+    best, tried, bound = n + 1, 0, 0
+
+    def result(exact, stop):
+        # Unseen codewords weigh at least ``bound`` (and at least 1), seen
+        # ones at least ``best``: the distance is at least the smaller.
+        return _Weight(best, exact, tried, best if exact else min(max(bound, 1), best), stop)
+
+    for bound, chunks in layers:
+        if bound >= best:
+            return result(True, "bound")
+        # A codeword at or below ``limit`` ends the enumeration.
+        limit = bound if cutoff is None else max(bound, cutoff - 1)
+        for weights in chunks:
+            whole = len(weights)
+            if budget is not None:
+                if tried >= budget:
+                    return result(False, "budget")
+                weights = weights[: budget - tried]
+            low = int(weights.min())
+            if low <= limit:
+                # Count up to the first codeword that ends it, no further.
+                first = int(np.argmax(weights <= limit))
+                tried += first + 1
+                best = min(best, int(weights[first]))
+                if cutoff is not None and best < cutoff:
+                    return result(False, "cutoff")
+                return result(True, "bound")
+            tried += len(weights)
+            best = min(best, low)
+            if len(weights) < whole:
+                return result(False, "budget")
+    return result(True, "gray")
 
 
 def _min_weight(
@@ -556,160 +665,30 @@ def _min_weight(
 ) -> _Weight:
     """Minimum weight of the code spanned by a full-rank generator.
 
-    Enumerates information-set codewords by message weight until the lower
-    bound meets the best weight seen (exact).  It stops early, not exact,
-    once the best weight falls below ``cutoff`` or ``budget`` codewords have
-    been enumerated; codewords count as they are enumerated, so a budget of
-    the unbounded run's ``tried`` completes.  Before the first round and
-    after each one, when the projected cost of closing the bound is no less
-    than that of visiting every projective class, the Gray walk finishes
-    instead.
+    The path is chosen once, before any enumeration: information-set
+    codewords by message weight until the lower bound meets the best weight
+    seen (exact), or, when the projected cost of closing that bound is no
+    less than that of visiting every projective class, the Gray walk over
+    all of them.  Either runs through ``_enumerate`` and stops early, not
+    exact, once the best weight falls below ``cutoff`` or ``budget``
+    codewords have been enumerated; codewords count as they are enumerated,
+    so a budget of the unbounded run's ``tried`` completes.
     """
     k, n = gen.shape
     gray = (4**k - 1) // 3 * -(-n // 64)
-    state = _ScanState(best=n + 1)
-    # A generator row is a codeword: its weight is the first target.  Before
+    # A generator row is a codeword: its weight is the target.  Before
     # building any set, assume the generic ones: n // k disjoint sets and
     # one partial set.
     lightest = int(np.count_nonzero(gen, axis=1).min())
     guess = [0] * (n // k) + [k - n % k] * (n % k > 0)
     words = -(-max(n - k, 1) // 64)
     build = _SET_COST * k * len(guess)
-    if build + _enumeration_cost(k, words, guess, [0] * len(guess), lightest) >= gray:
-        return _gray_weight(gen, cutoff, budget, state)
-    sets = _information_sets(gen)
-    deficits = [s.deficit for s in sets]
-    # Every nonzero codeword has a nonzero on each full set.
-    bound = deficits.count(0)
-
-    def result(exact, stop):
-        # Unseen codewords weigh at least ``bound``, seen ones at least
-        # ``best``: the distance is at least the smaller of the two.
-        return _Weight(state.best, exact, state.tried, min(bound, state.best), stop)
-
-    round_done = 0
-    for w, j, v in _schedule(k, deficits, [0] * len(sets)):
-        if w > round_done:
-            round_done = w
-            done = [s.done for s in sets]
-            target = min(state.best, lightest)
-            if _enumeration_cost(k, words, deficits, done, target) >= gray:
-                return _gray_weight(gen, cutoff, budget, state, bound)
-        s = sets[j]
-        keep = s.kept == v - 1 and _layer_size(k, v) <= _CHUNK
-        kept = []
-        # A codeword at or below ``limit`` ends the enumeration.
-        limit = bound if cutoff is None else max(bound, cutoff - 1)
-        for c0, c1 in _layer_chunks(s, v):
-            if budget is not None and state.tried >= budget:
-                return result(False, "budget")
-            counts = np.bitwise_count(c0 | c1)
-            counts = counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=np.intp)
-            whole = len(counts)
-            if budget is not None:
-                counts = counts[: budget - state.tried]
-            low = int(counts.min()) + v
-            if low <= limit:
-                # Count up to the first codeword that ends it, no further.
-                first = int(np.argmax(counts <= limit - v))
-                state.tried += first + 1
-                state.best = min(state.best, int(counts[: first + 1].min()) + v)
-                if cutoff is not None and state.best < cutoff:
-                    return result(False, "cutoff")
-                return result(True, "bound")
-            state.tried += len(counts)
-            state.best = min(state.best, low)
-            if len(counts) < whole:
-                return result(False, "budget")
-            if keep:
-                kept.append((c0, c1))
-        s.done = v
-        if keep:
-            s.kept = v
-            s.layer0 = np.concatenate([c[0] for c in kept], axis=1)
-            s.layer1 = np.concatenate([c[1] for c in kept], axis=1)
-        bound += v >= s.deficit
-        if bound >= state.best:
-            return result(True, "bound")
-    # Set 0 has enumerated every message: nothing is left unseen.
-    return result(True, "bound")
+    if build + _enumeration_cost(k, words, guess, lightest) >= gray:
+        return _gray_weight(gen, cutoff, budget)
+    return _enumerate(_set_layers(gen), n, cutoff, budget)
 
 
-def _gray_weight(gen, cutoff=None, budget=None, state=None, bound=1) -> _Weight:
-    """Enumerate one codeword per projective message class.
-
-    Classes go by the leading nonzero message position, then by a Gray walk
-    of the suffix, so budgets are reproducible.  The walk counts on from
-    ``state`` (best and tried so far) when given, and stops early once the
-    best weight falls below ``cutoff`` or ``budget`` codewords have been
-    enumerated, reporting ``bound`` as the lower bound.
-    """
-    k, n = gen.shape
-    if state is None:
-        state = _ScanState(best=n + 1)
-    p0, p1 = _pack_planes(gen)
-    for lead in range(k):
-        if budget is not None and state.tried >= budget:
-            break
-        suffix = k - 1 - lead
-        # Delta planes for toggling bit b of the suffix counter: even bits add
-        # the row itself, odd bits add w times the row.
-        r0, r1 = p0[:, lead + 1 :], p1[:, lead + 1 :]
-        d0 = np.empty((p0.shape[0], 2 * suffix), dtype=np.uint64)
-        d1 = np.empty_like(d0)
-        d0[:, 0::2] = r0
-        d1[:, 0::2] = r1
-        d0[:, 1::2] = r1
-        d1[:, 1::2] = r0 ^ r1
-        carry0, carry1 = p0[:, lead].copy(), p1[:, lead].copy()
-        if _walk_gray(carry0, carry1, d0, d1, 4**suffix, state, cutoff, budget):
-            break
-    else:
-        return _Weight(state.best, True, state.tried, state.best, "gray")
-    stop = "cutoff" if cutoff is not None and state.best < cutoff else "budget"
-    return _Weight(state.best, False, state.tried, min(bound, state.best), stop)
-
-
-def _walk_gray(carry0, carry1, d0, d1, count, state, cutoff, budget):
-    """Visit ``count`` codewords starting at the W-word planes (carry0, carry1).
-
-    Advances the carries in place; returns True to abort.
-    """
-    w0 = int(np.bitwise_count(carry0 | carry1).sum())
-    state.tried += 1
-    if w0 < state.best:
-        state.best = w0
-    if cutoff is not None and state.best < cutoff:
-        return True
-    if budget is not None and state.tried >= budget and count > 1:
-        return True
-
-    t = 1
-    while t < count:
-        stop = min(t + _CHUNK, count)
-        if budget is not None:
-            stop = min(stop, t + (budget - state.tried))
-        ts = np.arange(t, stop, dtype=np.uint64)
-        # Gray-walk ruler: the index of the lowest set bit of each t, as intp
-        # because gathers with uint8 indices run about 3x slower.
-        bit = (np.bitwise_count(ts ^ (ts - 1)) - 1).astype(np.intp)
-        # One pass per word over contiguous 1-D arrays; the per-word counts
-        # are summed in a wider type, since a uint8 count wraps past n = 255.
-        for w in range(len(carry0)):
-            c0 = np.bitwise_xor.accumulate(d0[w][bit])
-            c1 = np.bitwise_xor.accumulate(d1[w][bit])
-            c0 ^= carry0[w]
-            c1 ^= carry1[w]
-            count_w = np.bitwise_count(c0 | c1)
-            weights = count_w if w == 0 else np.add(weights, count_w, dtype=np.intp)
-            carry0[w], carry1[w] = c0[-1], c1[-1]
-        chunk_min = int(weights.min())
-        state.tried += len(ts)
-        if chunk_min < state.best:
-            state.best = chunk_min
-        t = stop
-        if cutoff is not None and state.best < cutoff:
-            return True
-        if budget is not None and state.tried >= budget and t < count:
-            return True
-    return False
+def _gray_weight(gen, cutoff=None, budget=None) -> _Weight:
+    """``_min_weight`` with the Gray walk forced: one codeword per
+    projective class, exact when it runs to its end."""
+    return _enumerate([(0, _gray_chunks(gen))], gen.shape[1], cutoff, budget)

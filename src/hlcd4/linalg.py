@@ -27,11 +27,8 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("operands must be 2-d matrices")
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    # products[i, l, j] = a[i, l] * b[l, j]; XOR-reduce the middle axis.
+    # products[i, l, j] = a[i, l] * b[l, j]; XOR-reduce the middle axis (to
+    # zeros when it is empty).
     products = MUL[a[:, :, None], b[None, :, :]]
     return np.bitwise_xor.reduce(products, axis=1)
 
@@ -98,10 +95,8 @@ def kernel(m: np.ndarray) -> np.ndarray:
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, p in enumerate(pivots):
-            basis[row, p] = R[i, f]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = R[: len(pivots), free].T
     return basis
 
 

@@ -40,6 +40,15 @@ def test_multiply_empty_operands():
     a = np.zeros((0, 3), dtype=np.uint8)
     b = np.zeros((3, 2), dtype=np.uint8)
     assert linalg.multiply(a, b).shape == (0, 2)
+    # an empty inner dimension gives the zero matrix
+    a = np.ones((2, 0), dtype=np.uint8)
+    b = np.ones((0, 3), dtype=np.uint8)
+    product = linalg.multiply(a, b)
+    assert product.dtype == np.uint8 and np.array_equal(product, np.zeros((2, 3)))
+    a = np.ones((2, 3), dtype=np.uint8)
+    b = np.ones((3, 0), dtype=np.uint8)
+    product = linalg.multiply(a, b)
+    assert product.dtype == np.uint8 and product.shape == (2, 0)
 
 
 def test_conj_transpose_involution(rng):

@@ -4,7 +4,8 @@ Property tests draw generators that are not in standard form and may have
 zero or repeated columns, so later information sets are partial.  Each
 input runs under the engine's own choice of path, with the information-set
 enumeration forced, and forced with tiny chunks (so layers split into many
-chunks, are not kept, and messages take tails of several rows).
+chunks, are not kept, and messages take tails of several rows), and with
+the Gray walk forced, also with tiny chunks (so chunks end mid-lead).
 """
 
 from unittest import mock
@@ -26,6 +27,8 @@ MODES = {
     "sets, tiny chunks": {
         "_SET_COST": 0, "_CHUNK_COST": 0, "_CODEWORD_COST": 0, "_CHUNK": 7,
     },
+    "walk": {"_SET_COST": float("inf")},
+    "walk, tiny chunks": {"_SET_COST": float("inf"), "_CHUNK": 7},
 }
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
