@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -176,19 +177,7 @@ def _cmd_parity(args) -> int:
     code, _ = _read_code(args.file)
     reports = lcd_column_parity(code)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "coordinate": r.coordinate,
-                        "column_weight": r.column_weight,
-                        "puncture_is_lcd": r.puncture_is_lcd,
-                        "shorten_is_lcd": r.shorten_is_lcd,
-                    }
-                    for r in reports
-                ]
-            )
-        )
+        print(json.dumps([asdict(r) for r in reports]))
     else:
         for r in reports:
             parity = "even" if r.column_weight % 2 == 0 else "odd"
@@ -215,19 +204,7 @@ def _cmd_axy(args) -> int:
 
 def _cmd_pair_check(args) -> int:
     report = check_isotropic(from_symbols(args.x), from_symbols(args.y))
-    print(
-        json.dumps(
-            {
-                "xx": report.xx,
-                "yy": report.yy,
-                "xy": report.xy,
-                "x_is_zero": report.x_is_zero,
-                "y_is_zero": report.y_is_zero,
-                "isotropic": report.isotropic,
-                "valid": report.valid,
-            }
-        )
-    )
+    print(json.dumps({**asdict(report), "isotropic": report.isotropic, "valid": report.valid}))
     return 0 if report.valid else 1
 
 

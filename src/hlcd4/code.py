@@ -9,8 +9,11 @@ Minimum weight comes from one engine.  Scalar multiples of a codeword share
 its weight, so only messages whose first nonzero symbol is 1 are visited.
 Codewords are packed into two bit planes (low and high bit of each symbol) of
 W = ceil(n/64) machine words each; the weight is the popcount summed over the
-words.  The engine enumerates messages by weight over several information
-sets (Brouwer-Zimmermann) and stops once a lower bound on the weight of every
+words.  One table of the packed rows' 1, w and w^2 multiples feeds all three
+weight enumerators, at every length: the batched light test of search
+(messages of weight at most 3) and both paths of the engine.  The engine
+enumerates messages by weight over several information sets
+(Brouwer-Zimmermann) and stops once a lower bound on the weight of every
 codeword not yet seen meets the best weight found.  The path is chosen once,
 before any enumeration: where closing that bound is projected to cost more
 than visiting all (4^k - 1)/3 projective classes, the engine walks them
@@ -279,7 +282,7 @@ def min_weight_oracle(c: LinearCode) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Packed projective-class enumeration (the hot path).
+# Packed bit planes and the row-multiples table (the hot path).
 #
 # A codeword splits into two bit planes (low bit, high bit), each W words
 # long.  Multiplying a packed word (p0, p1) by a scalar permutes/mixes the
@@ -287,7 +290,9 @@ def min_weight_oracle(c: LinearCode) -> int:
 #   1 * (p0, p1) = (p0, p1)
 #   w * (p0, p1) = (p1, p0 ^ p1)
 #   w^2 * (p0, p1) = (p0 ^ p1, p0)
-# Weight is the popcount of p0 | p1.
+# Weight is the popcount of p0 | p1.  ``_row_multiples`` is the one place
+# that packs rows and forms these multiples; the light test, the information
+# sets and the Gray walk all read from its table, at every length.
 
 
 # Codewords per enumerated chunk, on either path.  Gray-walk chunks of 2^16
@@ -295,19 +300,28 @@ def min_weight_oracle(c: LinearCode) -> int:
 _CHUNK = 1 << 13
 
 
-def _pack_planes(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high bit planes of the rows, word-major: two (..., W, k) arrays.
+def _row_multiples(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., W, k, 3) low and high planes of 1, w and w^2 times each row.
 
-    ``gen`` is (..., k, n), with any leading batch axes; W = ceil(n / 64) and
-    column j is bit j % 64 of word j // 64.
+    ``a`` is (..., k, m), with any leading batch axes; W = ceil(m / 64) and
+    column j is bit j % 64 of word j // 64.  One word holds the columns in
+    the narrowest unsigned type when they fit in 64 bits; a zero column
+    stands in when there are none (k = n).
     """
-    n = gen.shape[-1]
-    cols = np.arange(n)
-    shifts = (cols & 63).astype(np.uint64)
-    starts = cols[::64]
-    p0 = np.bitwise_or.reduceat((gen & 1).astype(np.uint64) << shifts, starts, axis=-1)
-    p1 = np.bitwise_or.reduceat((gen >> 1).astype(np.uint64) << shifts, starts, axis=-1)
-    return p0.swapaxes(-1, -2), p1.swapaxes(-1, -2)
+    if a.shape[-1] == 0:
+        a = np.zeros(a.shape[:-1] + (1,), dtype=np.uint8)
+    cols = np.arange(a.shape[-1])
+    # The bits of the columns are disjoint, so a product sums them into
+    # their words without carries.
+    place = np.zeros((len(cols), -(-len(cols) // 64)), dtype=np.uint64)
+    place[cols, cols // 64] = np.uint64(1) << (cols % 64).astype(np.uint64)
+    p = (np.stack([a & 1, a >> 1]) @ place).swapaxes(-1, -2)
+    if p.shape[-2] == 1:
+        p = p.astype(np.min_scalar_type(int(p.max())))
+    # The low planes of 1, w and w^2 times a row are p0, p1, p0 ^ p1, and
+    # its high planes the same run shifted by one.
+    m = np.stack([p[0], p[1], p[0] ^ p[1], p[0]], axis=-1)
+    return m[..., :3], m[..., 1:]
 
 
 @functools.cache
@@ -343,31 +357,30 @@ def _light_messages(k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, weights
 
 
-def _light_min_weight(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+def _light_min_weight(a: np.ndarray) -> np.ndarray:
     """Minimum weight over messages of weight at most 3, for a batch of codes.
 
-    Batch-first: ``p0``/``p1`` are the (B, k) word-0 bit planes of B
-    standard-form generators (I_k | A) with n <= 64 (``_pack_planes`` of a
-    (B, k, n) block, word 0); returns the (B,) weights.  There
+    Batch-first: ``a`` is the (B, k, n - k) A blocks of B standard-form
+    generators (I_k | A), of any length; returns the (B,) weights.  There
     wt(mG) = wt(m) + wt(mA) >= wt(m), so every codeword of weight below 4
     comes from a message of weight at most 3: each value decides d >= t
     exactly for any threshold t <= 4, and is an upper bound on d in general.
     """
-    batch, k = p0.shape
+    batch, k, m = a.shape
     rows, weights = _light_messages(k)
-    # Only the A columns are combined, in the narrowest word that holds
-    # them; the identity part contributes the message weight.
-    dtype = np.min_scalar_type(int((p0 | p1).max()) >> k)
-    a0 = (p0 >> k).T.astype(dtype)
-    a1 = (p1 >> k).T.astype(dtype)
-    a01 = a0 ^ a1
-    # Batch on the last axis, so every gather below copies whole rows.
-    table = np.zeros((3 * k + 1, 2, batch), dtype=dtype)
-    table[:-1] = np.stack([a0, a1, a1, a01, a01, a0], axis=1).reshape(3 * k, 2, batch)
+    # Only the A columns are combined; the identity part contributes the
+    # message weight.  Row 3i + f of the table holds both planes of f times
+    # row i, batch on the last axis, so every gather below copies whole rows.
+    rows0, rows1 = _row_multiples(a)
+    words = rows0.shape[1]
+    table = np.zeros((3 * k + 1, 2, words, batch), dtype=rows0.dtype)
+    table[:-1] = np.stack([rows0, rows1]).transpose(3, 4, 0, 2, 1).reshape(3 * k, 2, words, batch)
     c = np.take(table, rows[0], axis=0)
     c ^= np.take(table, rows[1], axis=0)
     c ^= np.take(table, rows[2], axis=0)
-    return (np.bitwise_count(c[:, 0] | c[:, 1]) + weights).min(axis=0)
+    # Summed over the words in a type that holds every weight up to m + 3.
+    counts = np.bitwise_count(c[:, 0] | c[:, 1]).sum(axis=1, dtype=np.min_scalar_type(m + 3))
+    return (counts + weights).min(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +464,6 @@ def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
         used += fresh
         unused = [c for c in unused if c not in fresh]
     return sets
-
-
-def _row_multiples(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (W, k, 3) planes of 1, w and w^2 times each row of ``a``.
-
-    One word holds the n - k redundant columns in the narrowest unsigned
-    type when they fit in 64 bits; a zero column stands in when there are
-    none (k = n).
-    """
-    if a.shape[1] == 0:
-        a = np.zeros((a.shape[0], 1), dtype=np.uint8)
-    p0, p1 = _pack_planes(a)
-    if len(p0) == 1:
-        dtype = np.min_scalar_type(int((p0 | p1).max()))
-        p0, p1 = p0.astype(dtype), p1.astype(dtype)
-    p01 = p0 ^ p1
-    return np.stack([p0, p1, p01], axis=-1), np.stack([p1, p01, p0], axis=-1)
 
 
 def _layer_size(k: int, v: int) -> int:
@@ -578,20 +574,15 @@ def _gray_chunks(gen: np.ndarray):
     Classes go by the leading nonzero message position, then by a Gray walk
     of the suffix, so budgets are reproducible.
     """
-    p0, p1 = _pack_planes(gen)
-    words, k = p0.shape
+    rows0, rows1 = _row_multiples(gen)
+    words, k, _ = rows0.shape
     for lead in range(k):
         suffix = k - 1 - lead
         # Delta planes for toggling bit b of the suffix counter: even bits add
         # the row itself, odd bits add w times the row.
-        r0, r1 = p0[:, lead + 1 :], p1[:, lead + 1 :]
-        d0 = np.empty((words, 2 * suffix), dtype=np.uint64)
-        d1 = np.empty_like(d0)
-        d0[:, 0::2] = r0
-        d1[:, 0::2] = r1
-        d0[:, 1::2] = r1
-        d1[:, 1::2] = r0 ^ r1
-        carry0, carry1 = p0[:, lead].copy(), p1[:, lead].copy()
+        d0 = rows0[:, lead + 1 :, :2].reshape(words, -1)
+        d1 = rows1[:, lead + 1 :, :2].reshape(words, -1)
+        carry0, carry1 = rows0[:, lead, 0].copy(), rows1[:, lead, 0].copy()
         yield np.bitwise_count(carry0 | carry1).sum(dtype=np.intp, keepdims=True)
         count = 4**suffix
         for t in range(1, count, _CHUNK):

@@ -6,12 +6,14 @@ RANDOM draws standard-form generator matrices (I_k | A) with uniform A and
 keeps the first candidate that is LCD with minimum weight at or above the
 target.  Each candidate index seeds its own generator stream.  Candidates
 are drawn in blocks of B consecutive indices (B from k alone, at most 64);
-one vectorised light weight test covers the whole block, and only its
-survivors, in index order, take the weight check and the LCD check.  The
-result is therefore the lowest hit index, a pure function of (seed, index)
-that does not depend on B.  ``SearchConfig.threads`` is accepted and
-ignored: a thread pool over these small numpy calls ran slower than one
-thread.
+one vectorised light weight test, over messages of weight at most 3, covers
+the whole block at any length, and only its survivors, in index order, take
+the weight check (for targets above 4) and the LCD check.  The result is
+therefore the lowest hit index, a pure function of (seed, index) that does
+not depend on B.  The light test and both paths of the engine behind the
+weight check read one packed row-multiples table (``code._row_multiples``),
+at every length.  ``SearchConfig.threads`` is accepted and ignored: a thread
+pool over these small numpy calls ran slower than one thread.
 
 AXY_NEIGHBORHOOD hill-climbs from an LCD base code using the two-vector
 update: sample an isotropic pair, apply the update, accept moves that
@@ -45,7 +47,6 @@ from .code import (
     LinearCode,
     _light_min_weight,
     _min_weight,
-    _pack_planes,
 )
 from .errors import ExhaustedRetriesError, NoPairExistsError, PreconditionError
 from .gf4 import hermitian_inner, weight
@@ -53,6 +54,8 @@ from .tables import BoundsTable
 from .transform import IsotropicPair, axy_construct, puncture, shorten
 
 _RETRY_CAP = 10000
+# Sideways moves the axy climb makes on one plateau before it restarts.
+_PLATEAU_CAP = 100
 
 
 class Strategy(Enum):
@@ -71,7 +74,6 @@ class SearchConfig:
     strategy: Strategy = Strategy.RANDOM
     base: Optional[LinearCode] = None
     threads: int = 1  # accepted and ignored: search is serial
-    plateau_cap: int = 100
 
     def __post_init__(self):
         if self.target_d < 1:
@@ -198,16 +200,13 @@ def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         for j in range(stop - start):
             rng = _candidate_rng(config.seed, start + j)
             gens[j, :, k:] = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
-        # Below n = 65 the light test rejects most candidates and fully
-        # decides d >= target when target <= 4; the rest take the engine.
-        if n <= 64:
-            p0, p1 = _pack_planes(gens)
-            survivors = np.flatnonzero(_light_min_weight(p0[:, 0], p1[:, 0]) >= target)
-        else:
-            survivors = range(len(gens))
+        # The light test rejects most candidates and fully decides
+        # d >= target when target <= 4; above that its survivors take the
+        # engine.
+        survivors = np.flatnonzero(_light_min_weight(gens[:, :, k:]) >= target)
         for j in survivors:
             gen = gens[j]
-            if n > 64 or target > 4:
+            if target > 4:
                 r = _min_weight(gen, cutoff=target)
                 if not (r.exact and r.best >= target):
                     continue
@@ -253,10 +252,7 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         tried += 1
         if candidate.hull_dim() != hull:
             raise AssertionError("two-vector update changed the hull dimension")
-        rejected = False
-        if candidate.n <= 64:
-            p0, p1 = _pack_planes(candidate.gen[None])
-            rejected = _light_min_weight(p0[:, 0], p1[:, 0])[0] < current_d
+        rejected = _light_min_weight(candidate.gen[None, :, config.k :])[0] < current_d
         d = None if rejected else _exact_weight_at_least(candidate, current_d)
         if d is not None and d > current_d:
             current, current_d, plateau = candidate, d, 0
@@ -265,7 +261,7 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
             # restart the climb from a fresh draw (budget permitting).
             plateau += 1
             current = candidate
-        if plateau > config.plateau_cap:
+        if plateau > _PLATEAU_CAP:
             index += 1
             current = fresh(index)
             current_d = current.min_weight()

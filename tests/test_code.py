@@ -9,7 +9,6 @@ from hlcd4.code import (
     LinearCode,
     _light_min_weight,
     _min_weight,
-    _pack_planes,
     hull_dim_oracle,
     min_weight_oracle,
 )
@@ -162,30 +161,35 @@ def test_min_weight_oracle_limits(rng):
 
 
 def test_light_min_weight_bounds(rng):
-    # the batched light scan, row by row: exact below 4 and a valid upper
-    # bound in general; blocks of 1 to 5 codes, with k in {1, 2, 3} and n = 64
+    # the batched light scan on A blocks, row by row: exact below 4 and a
+    # valid upper bound in general; blocks of 1 to 5 codes, with k in
+    # {1, 2, 3} at n = 4 and 64 and past one word, and an empty A at
+    # k = n = 4; each also with most A columns zeroed so that low weights
+    # occur at every length
     shapes = [(int(rng.integers(6, 20)), None) for _ in range(40)]
-    shapes += [(n, k) for n in (4, 64) for k in (1, 2, 3)]
+    shapes += [(n, k) for n in (4, 64, 65, 70, 129) for k in (1, 2, 3)] + [(4, 4)]
     for n, k in shapes:
         if k is None:
             k = int(rng.integers(1, min(n - 1, 9) + 1))
-        block = [random_standard(rng, n, k) for _ in range(int(rng.integers(1, 6)))]
-        p0, p1 = _pack_planes(np.stack([c.gen for c in block]))
-        light = _light_min_weight(p0[:, 0], p1[:, 0])
-        assert light.shape == (len(block),)
-        for c, w in zip(block, light):
-            d = c.min_weight()
-            assert d <= w
-            if w <= 3:
-                assert d == w
-            else:
-                assert d >= 4
+        for zeroed in (0.0, 0.9):
+            a = rng.integers(0, 4, size=(int(rng.integers(1, 6)), k, n - k), dtype=np.uint8)
+            a[:, :, rng.random(n - k) < zeroed] = 0
+            light = _light_min_weight(a)
+            assert light.shape == (len(a),)
+            for rows, w in zip(a, light):
+                d = LinearCode(np.hstack([linalg.identity(k), rows])).min_weight()
+                assert d <= w
+                if w <= 3:
+                    assert d == w
+                else:
+                    assert d >= 4
 
 
 def test_scan_handles_n_above_64(rng, monkeypatch):
-    # lengths on both sides of each 64-bit word boundary; a short chunk makes
-    # the walk carry every word across chunk boundaries
-    for n in (63, 64, 65, 127, 128, 129):
+    # lengths on both sides of each narrowed word (8, 16 and 32 bits) and of
+    # each 64-bit word boundary; a short chunk makes the walk carry every
+    # word across chunk boundaries
+    for n in (8, 9, 16, 17, 32, 33, 63, 64, 65, 127, 128, 129):
         for k in (1, 3, 6):
             c = random_code(rng, n, k)
             d = min_weight_oracle(c)

@@ -1,10 +1,12 @@
 """Search strategies, determinism, and bounds verification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from hlcd4 import linalg
-from hlcd4.code import CodeSummary, LinearCode, _gray_weight, _light_min_weight, _pack_planes
+from hlcd4.code import CodeSummary, LinearCode, _gray_weight, _light_min_weight
 from hlcd4.errors import (
     ExhaustedRetriesError,
     NoPairExistsError,
@@ -97,7 +99,8 @@ def _first_hit(config):
     [
         (12, 6, 5, 34),  # target above 4: light test, then cutoff scan; hit at 120
         (16, 10, 4, 9),  # the light test decides; 30 per block, hit at 32
-        (65, 3, 46, 1),  # n > 64 skips the light test; hit at 74
+        (65, 3, 46, 1),  # two words: light test, then cutoff scan; hit at 74
+        (70, 5, 4, 2),  # two words, target <= 4: the light test decides; hit at 2
         (8, 4, 6, 1),  # above the Singleton bound: every budget runs out
     ],
 )
@@ -129,8 +132,7 @@ def test_search_post_check_is_budgeted():
     assert r.summary.d_dual_exact and r.summary.d_dual == 3
     # the light test is exact below 4 on the dual's standard form
     dual = linalg.standard_form(r.found.hermitian_dual().gen).matrix
-    p0, p1 = _pack_planes(dual[None])
-    assert _light_min_weight(p0[:, 0], p1[:, 0])[0] == 3
+    assert _light_min_weight(dual[None, :, len(dual) :])[0] == 3
 
 
 def test_budget_exhaustion_returns_no_find():
@@ -142,15 +144,23 @@ def test_budget_exhaustion_returns_no_find():
 
 
 def test_axy_strategy_climbs():
-    cfg = SearchConfig(
-        n=12, k=6, target_d=5, seed=1, budget=4000, strategy=Strategy.AXY_NEIGHBORHOOD
-    )
-    r = search(cfg)
-    assert r.found is not None and r.summary.d >= 5
-    assert 0 < r.candidates_tried <= 4000
-    again = search(cfg)
-    assert np.array_equal(again.found.gen, r.found.gen)
-    assert again.candidates_tried == r.candidates_tried
+    # candidate counts and generators pinned; at n = 70 (two words) the
+    # light test rejects 185 of the 221 candidates
+    for n, k, target, budget, tried, digest in (
+        (12, 6, 5, 4000, 315, "0c2699e33f1a4271"),
+        (70, 5, 45, 300, 221, "b8a69edae3ce9856"),
+    ):
+        cfg = SearchConfig(
+            n=n, k=k, target_d=target, seed=1, budget=budget,
+            strategy=Strategy.AXY_NEIGHBORHOOD,
+        )
+        r = search(cfg)
+        assert r.found is not None and r.summary.d >= target
+        assert r.candidates_tried == tried
+        assert hashlib.sha256(r.found.gen.tobytes()).hexdigest()[:16] == digest
+        again = search(cfg)
+        assert np.array_equal(again.found.gen, r.found.gen)
+        assert again.candidates_tried == r.candidates_tried
 
 
 def test_axy_strategy_base_handling():
