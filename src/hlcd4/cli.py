@@ -3,9 +3,10 @@
 Generator matrices travel in a plain text format: optional ``#`` comment
 lines, then k rows of n symbols from {0, 1, w, W} (w is the primitive
 element, W its square), whitespace between symbols optional.  Files emitted
-by subcommands carry a ``#`` provenance header recording the command line,
-the seed where applicable, and the SHA-256 of the parent file; timing never
-enters the header, so reruns of a seeded command are byte-identical.
+by subcommands carry a ``#`` provenance header recording the command and
+the options it declares (under their first flag), the seed where
+applicable, and the SHA-256 of the parent file; timing never enters the
+header, so reruns of a seeded command are byte-identical.
 Search is serial and its result depends only on the seed and the candidate
 index; ``search --threads`` is accepted and ignored.
 
@@ -97,17 +98,15 @@ def emit_summary(summary: CodeSummary, fmt: str = "text") -> str:
     """Render a summary as 'text' or 'json'."""
     if fmt == "json":
         return json.dumps(summary.to_dict(), sort_keys=True)
-    d = str(summary.d) if summary.d_exact else f"<= {summary.d} (budget exceeded)"
-    dd = (
-        str(summary.d_dual)
-        if summary.d_dual_exact
-        else f"<= {summary.d_dual} (budget exceeded)"
-    )
+
+    def weight(value: int, exact: bool) -> str:
+        return str(value) if exact else f"<= {value} (budget exceeded)"
+
     return "\n".join(
         [
             f"[{summary.n},{summary.k}] code",
-            f"d: {d}",
-            f"d_dual: {dd}",
+            f"d: {weight(summary.d, summary.d_exact)}",
+            f"d_dual: {weight(summary.d_dual, summary.d_dual_exact)}",
             f"hull_dim: {summary.hull_dim}",
             f"LCD: {'yes' if summary.is_lcd else 'no'}",
             f"even: {'yes' if summary.is_even else 'no'}",
@@ -141,35 +140,43 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_dual(args) -> int:
+_COORDS = ((("-t", "--coords"), "1-based, comma separated"),)
+_XY = ((("--x",), "symbols, length n-k"), (("--y",), "symbols, length n-k"))
+
+# The code-writing subcommands: name -> (help, options, derivation).  Each
+# option is (flags, help) and is required; the derivation takes the parsed
+# code and the option values in order and returns a generator matrix.  The
+# subparser and the provenance header are both built from the row.
+_DERIVE = {
+    "dual": ("Hermitian dual code", (), lambda code: code.hermitian_dual().gen),
+    "puncture": (
+        "delete coordinates",
+        _COORDS,
+        lambda code, t: puncture(code, _coords(t)).gen,
+    ),
+    "shorten": (
+        "restrict to zero coordinates, then delete",
+        _COORDS,
+        lambda code, t: shorten(code, _coords(t)).gen,
+    ),
+    "orthonormalize": ("generator with identity Gram matrix", (), orthonormalize),
+    "axy": (
+        "two-vector update of a standard-form code",
+        _XY,
+        lambda code, x, y: axy_construct(code, from_symbols(x), from_symbols(y)).gen,
+    ),
+}
+
+
+def _cmd_derive(args) -> int:
     code, digest = _read_code(args.file)
-    dual = code.hermitian_dual()
-    header = [f"command: dual", f"parent: sha256 {digest}"]
-    _write_output(emit_code_file(dual.gen, header), args.output)
-    return 0
-
-
-def _cmd_puncture(args) -> int:
-    code, digest = _read_code(args.file)
-    out = puncture(code, _coords(args.coords))
-    header = [f"command: puncture -t {args.coords}", f"parent: sha256 {digest}"]
-    _write_output(emit_code_file(out.gen, header), args.output)
-    return 0
-
-
-def _cmd_shorten(args) -> int:
-    code, digest = _read_code(args.file)
-    out = shorten(code, _coords(args.coords))
-    header = [f"command: shorten -t {args.coords}", f"parent: sha256 {digest}"]
-    _write_output(emit_code_file(out.gen, header), args.output)
-    return 0
-
-
-def _cmd_orthonormalize(args) -> int:
-    code, digest = _read_code(args.file)
-    g = orthonormalize(code)
-    header = [f"command: orthonormalize", f"parent: sha256 {digest}"]
-    _write_output(emit_code_file(g, header), args.output)
+    _, options, derive = _DERIVE[args.command]
+    # argparse stores each option under its long flag's name.
+    values = [getattr(args, flags[-1].lstrip("-")) for flags, _ in options]
+    gen = derive(code, *values)
+    command = [args.command] + [f"{f[0]} {v}" for (f, _), v in zip(options, values)]
+    header = [f"command: {' '.join(command)}", f"parent: sha256 {digest}"]
+    _write_output(emit_code_file(gen, header), args.output)
     return 0
 
 
@@ -189,19 +196,6 @@ def _cmd_parity(args) -> int:
     return 0
 
 
-def _cmd_axy(args) -> int:
-    code, digest = _read_code(args.file)
-    x = from_symbols(args.x)
-    y = from_symbols(args.y)
-    out = axy_construct(code, x, y)
-    header = [
-        f"command: axy --x {args.x} --y {args.y}",
-        f"parent: sha256 {digest}",
-    ]
-    _write_output(emit_code_file(out.gen, header), args.output)
-    return 0
-
-
 def _cmd_pair_check(args) -> int:
     report = check_isotropic(from_symbols(args.x), from_symbols(args.y))
     print(json.dumps({**asdict(report), "isotropic": report.isotropic, "valid": report.valid}))
@@ -209,10 +203,7 @@ def _cmd_pair_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    base = None
-    digest = None
-    if args.base:
-        base, digest = _read_code(args.base)
+    base, digest = _read_code(args.base) if args.base else (None, None)
     config = SearchConfig(
         n=args.n,
         k=args.k,
@@ -234,9 +225,8 @@ def _cmd_search(args) -> int:
         print(json.dumps(err), file=sys.stderr)
         return 1
     header = [
-        "command: search --n {} --k {} --target-d {} --seed {} --budget {} --strategy {}".format(
-            args.n, args.k, args.target_d, args.seed, args.budget, args.strategy
-        ),
+        f"command: search --n {args.n} --k {args.k} --target-d {args.target_d} "
+        f"--seed {args.seed} --budget {args.budget} --strategy {args.strategy}",
         f"candidates tried: {result.candidates_tried}",
     ]
     if digest is not None:
@@ -261,13 +251,13 @@ def _cmd_verify_table(args) -> int:
     results_dir = Path(args.results)
     if not results_dir.is_dir():
         raise ValueError(f"not a directory: {args.results}")
+    budget = None if args.exact_d else args.budget
     summaries = []
     names = []
     for path in sorted(results_dir.iterdir()):
         if not path.is_file() or path.name.startswith("."):
             continue
         code = parse_code_file(path.read_text(encoding="utf-8"))
-        budget = None if args.exact_d else args.budget
         summaries.append(code.summarize(budget=budget))
         names.append(path.name)
     records = verify_bounds(summaries, table)
@@ -282,18 +272,22 @@ def _cmd_verify_table(args) -> int:
     return 0 if ok else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int, name: str):
+    """An argparse type for integers >= low.  ``name`` is the type name
+    argparse prints when the text is not an integer."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+_positive_int = _int_at_least(1, "_positive_int")
+_nonnegative_int = _int_at_least(0, "_nonnegative_int")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -307,51 +301,40 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_output(sp):
         sp.add_argument("-o", "--output", help="write the code file here instead of stdout")
 
+    def add_budget(sp):
+        sp.add_argument("--exact-d", action="store_true", help="never truncate the weight scan")
+        sp.add_argument(
+            "--budget",
+            type=_positive_int,
+            default=_DEFAULT_BUDGET,
+            help="max enumerated codewords for min weight (default %(default)s)",
+        )
+
+    def add_derive(name):
+        help_text, options, _ = _DERIVE[name]
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("file")
+        for flags, option_help in options:
+            sp.add_argument(*flags, required=True, help=option_help)
+        add_output(sp)
+        sp.set_defaults(func=_cmd_derive)
+
     sp = sub.add_parser("info", help="summarize a code file")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--exact-d", action="store_true", help="never truncate the weight scan")
-    sp.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=_DEFAULT_BUDGET,
-        help="max enumerated codewords for min weight (default %(default)s)",
-    )
+    add_budget(sp)
     sp.set_defaults(func=_cmd_info)
 
-    sp = sub.add_parser("dual", help="Hermitian dual code")
-    sp.add_argument("file")
-    add_output(sp)
-    sp.set_defaults(func=_cmd_dual)
-
-    sp = sub.add_parser("puncture", help="delete coordinates")
-    sp.add_argument("file")
-    sp.add_argument("-t", "--coords", required=True, help="1-based, comma separated")
-    add_output(sp)
-    sp.set_defaults(func=_cmd_puncture)
-
-    sp = sub.add_parser("shorten", help="restrict to zero coordinates, then delete")
-    sp.add_argument("file")
-    sp.add_argument("-t", "--coords", required=True, help="1-based, comma separated")
-    add_output(sp)
-    sp.set_defaults(func=_cmd_shorten)
-
-    sp = sub.add_parser("orthonormalize", help="generator with identity Gram matrix")
-    sp.add_argument("file")
-    add_output(sp)
-    sp.set_defaults(func=_cmd_orthonormalize)
+    # parity stays between orthonormalize and axy in the subcommand listing.
+    for name in ("dual", "puncture", "shorten", "orthonormalize"):
+        add_derive(name)
 
     sp = sub.add_parser("parity", help="column-parity LCD report per coordinate")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_parity)
 
-    sp = sub.add_parser("axy", help="two-vector update of a standard-form code")
-    sp.add_argument("file")
-    sp.add_argument("--x", required=True, help="symbols, length n-k")
-    sp.add_argument("--y", required=True, help="symbols, length n-k")
-    add_output(sp)
-    sp.set_defaults(func=_cmd_axy)
+    add_derive("axy")
 
     sp = sub.add_parser("pair-check", help="isotropy report for a vector pair")
     sp.add_argument("--x", required=True)
@@ -385,13 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-table", help="check result codes against the bounds table")
     sp.add_argument("--results", required=True, help="directory of code files")
     sp.add_argument("--bounds", help="bounds CSV (packaged table by default)")
-    sp.add_argument("--exact-d", action="store_true")
-    sp.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=_DEFAULT_BUDGET,
-        help="max enumerated codewords for min weight (default %(default)s)",
-    )
+    add_budget(sp)
     sp.set_defaults(func=_cmd_verify_table)
 
     return p

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -63,22 +63,13 @@ class CodeSummary:
     d_dual_exact: bool = True
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "d_dual": self.d_dual,
-            "hull_dim": self.hull_dim,
-            "is_lcd": self.is_lcd,
-            "is_even": self.is_even,
-        }
         # Exactness flags appear only when a budget truncated the search, so
         # the common all-exact record stays minimal.
-        if not self.d_exact:
-            out["d_exact"] = False
-        if not self.d_dual_exact:
-            out["d_dual_exact"] = False
-        return out
+        return {
+            key: value
+            for key, value in asdict(self).items()
+            if not (key.endswith("_exact") and value)
+        }
 
 
 class LinearCode:

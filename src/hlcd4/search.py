@@ -25,6 +25,10 @@ PUNCTURE_SHORTEN walks the coordinates of a longer base code and collects
 the one-coordinate derivatives (punctured and shortened) that are LCD,
 keeping the first that matches the requested parameters.
 
+Every strategy stops at its budget: a candidate is drawn or derived only
+while fewer than ``budget`` have been, so ``candidates_tried`` never
+exceeds it.
+
 Minimum-weight checks during search run with a cutoff at the target weight:
 enumeration aborts as soon as any codeword falls below it, which rejects
 typical random candidates after a tiny fraction of the scan.
@@ -35,6 +39,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice, product
 from math import comb
 from typing import Iterable, Optional
 
@@ -240,16 +245,12 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
     hull = current.hull_dim()
     current_d = current.min_weight()
     plateau = 0
-    tried = 0
     index = 0
-    while index < config.budget:
-        if current_d >= config.target_d:
-            return current, tried
+    while current_d < config.target_d and index < config.budget:
         index += 1
         rng = _candidate_rng(config.seed, index)
         pair = sample_isotropic_pair(config.n - config.k, rng)
         candidate = axy_construct(current, pair)
-        tried += 1
         if candidate.hull_dim() != hull:
             raise AssertionError("two-vector update changed the hull dimension")
         rejected = _light_min_weight(candidate.gen[None, :, config.k :])[0] < current_d
@@ -261,15 +262,12 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
             # restart the climb from a fresh draw (budget permitting).
             plateau += 1
             current = candidate
-        if plateau > _PLATEAU_CAP:
+        if plateau > _PLATEAU_CAP and index < config.budget:
             index += 1
             current = fresh(index)
             current_d = current.min_weight()
             plateau = 0
-            tried += 1
-    if current_d >= config.target_d:
-        return current, tried
-    return None, tried
+    return (current if current_d >= config.target_d else None), index
 
 
 def _search_puncture_shorten(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
@@ -280,22 +278,18 @@ def _search_puncture_shorten(config: SearchConfig) -> tuple[Optional[LinearCode]
         raise PreconditionError(
             f"base length must be {config.n + 1}, got {base.n}"
         )
-    tried = 0
-    for coord in range(1, base.n + 1):
-        if tried >= config.budget:
-            break
-        for derive in (puncture, shorten):
-            candidate = derive(base, coord)
-            tried += 1
-            if (candidate.n, candidate.k) != (config.n, config.k):
-                continue
-            if not candidate.is_lcd():
-                continue
-            if _exact_weight_at_least(candidate, config.target_d) is not None:
-                return candidate, tried
-            if tried >= config.budget:
-                break
-    return None, tried
+    # The budget caps the derivations tried: each coordinate, punctured then
+    # shortened, in order.
+    derivations = product(range(1, base.n + 1), (puncture, shorten))
+    for tried, (coord, derive) in enumerate(islice(derivations, config.budget), 1):
+        candidate = derive(base, coord)
+        if (
+            (candidate.n, candidate.k) == (config.n, config.k)
+            and candidate.is_lcd()
+            and _exact_weight_at_least(candidate, config.target_d) is not None
+        ):
+            return candidate, tried
+    return None, min(config.budget, 2 * base.n)
 
 
 def search(config: SearchConfig) -> SearchResult:

@@ -165,15 +165,25 @@ def axy_construct(
     return LinearCode(np.hstack([linalg.identity(k), a_new]))
 
 
-def _normalize_coords(coords: Union[int, Sequence[int]], n: int) -> list[int]:
-    """Validate 1-based coordinates and return sorted 0-based indices."""
+def _normalize_coords(
+    coords: Union[int, Sequence[int]], n: int, verb: str
+) -> tuple[list[int], list[int]]:
+    """Validate 1-based coordinates; return the sorted 0-based indices to
+    drop and the ones to keep.
+
+    Raises:
+        ValueError: for a coordinate outside 1..n.
+        AllCoordinatesDeletedError: if every coordinate would be removed.
+    """
     if isinstance(coords, (int, np.integer)):
         coords = [int(coords)]
-    out = sorted({int(c) for c in coords})
-    for c in out:
-        if c < 1 or c > n:
-            raise ValueError(f"coordinate {c} out of range 1..{n}")
-    return [c - 1 for c in out]
+    drop = sorted({int(c) - 1 for c in coords})
+    for c in drop:
+        if not 0 <= c < n:
+            raise ValueError(f"coordinate {c + 1} out of range 1..{n}")
+    if len(drop) == n:
+        raise AllCoordinatesDeletedError(f"cannot {verb} every coordinate")
+    return drop, sorted(set(range(n)).difference(drop))
 
 
 def puncture(code: LinearCode, coords: Union[int, Sequence[int]]) -> LinearCode:
@@ -186,14 +196,10 @@ def puncture(code: LinearCode, coords: Union[int, Sequence[int]]) -> LinearCode:
     Raises:
         AllCoordinatesDeletedError: if every coordinate is removed.
     """
-    drop = _normalize_coords(coords, code.n)
+    drop, keep = _normalize_coords(coords, code.n, "puncture")
     if not drop:
         return code
-    if len(drop) == code.n:
-        raise AllCoordinatesDeletedError("cannot puncture every coordinate")
-    keep = [c for c in range(code.n) if c not in set(drop)]
-    kept = code.gen[:, keep]
-    R, pivots = linalg.rref(kept)
+    R, pivots = linalg.rref(code.gen[:, keep])
     return LinearCode(R[: len(pivots)])
 
 
@@ -205,12 +211,9 @@ def shorten(code: LinearCode, coords: Union[int, Sequence[int]]) -> LinearCode:
     Raises:
         AllCoordinatesDeletedError: if every coordinate is removed.
     """
-    drop = _normalize_coords(coords, code.n)
+    drop, keep = _normalize_coords(coords, code.n, "shorten")
     if not drop:
         return code
-    if len(drop) == code.n:
-        raise AllCoordinatesDeletedError("cannot shorten every coordinate")
-    keep = [c for c in range(code.n) if c not in set(drop)]
     if code.k == 0:
         return LinearCode(linalg.zeros(0, len(keep)))
     # Messages m with (m G) zero on the dropped coordinates form the left

@@ -1,5 +1,6 @@
 """Command-line interface: file format, subcommands, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -169,6 +170,23 @@ def test_axy_cli(tmp_path, capsys):
     out = cli.parse_code_file(capsys.readouterr().out)
     assert (out.n, out.k) == (10, 6)
     assert out.hull_dim() == c.hull_dim() == 0
+
+
+def test_provenance_headers(tmp_path, capsys):
+    # each header names the command and its declared options under their
+    # first flag, whatever spelling or order was typed
+    path = write_code(tmp_path / "c.code", random_lcd(10, 6, 3))
+    parent = "# parent: sha256 " + hashlib.sha256((tmp_path / "c.code").read_bytes()).hexdigest()
+    for argv, command in (
+        (["dual"], "dual"),
+        (["puncture", "-t", "1,3"], "puncture -t 1,3"),
+        (["shorten", "--coords", "2"], "shorten -t 2"),
+        (["orthonormalize"], "orthonormalize"),
+        (["axy", "--y", "0011", "--x", "1100"], "axy --x 1100 --y 0011"),
+    ):
+        assert cli.main([argv[0], path, *argv[1:]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == [f"# command: {command}", parent]
 
 
 def test_pair_check(capsys):

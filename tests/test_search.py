@@ -1,6 +1,8 @@
 """Search strategies, determinism, and bounds verification."""
 
 import hashlib
+import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +165,23 @@ def test_axy_strategy_climbs():
         assert again.candidates_tried == r.candidates_tried
 
 
+def test_axy_restart_stays_in_budget(monkeypatch):
+    # With a cap of 1 the climb restarts often; a restart due on the last
+    # candidate of the budget (here at budgets 2, 5, 8 and 13) must not draw
+    # one more.  ``hlcd4.search`` names the function, hence importlib.
+    monkeypatch.setattr(importlib.import_module("hlcd4.search"), "_PLATEAU_CAP", 1)
+    for budget in range(1, 16):
+        r = search(
+            SearchConfig(
+                n=10, k=5, target_d=6, seed=0, budget=budget,
+                strategy=Strategy.AXY_NEIGHBORHOOD,
+            )
+        )
+        assert r.candidates_tried <= budget
+        if r.found is None:
+            assert r.candidates_tried == budget
+
+
 def test_axy_strategy_base_handling():
     base = random_lcd(10, 5, 7)
     target = base.min_weight()
@@ -205,6 +224,14 @@ def test_puncture_shorten_strategy_shortens():
     assert r.candidates_tried == 2
     again = search(cfg)
     assert np.array_equal(again.found.gen, r.found.gen)
+    # Every derivation counts against the budget, including a puncture
+    # whose (n, k) does not match: at budget 1 the hit is out of reach.
+    for budget in range(1, 8):
+        for target in (4, 13):
+            r = search(replace(cfg, budget=budget, target_d=target))
+            hit = target == 4 and budget >= 2
+            assert (r.found is not None) == hit
+            assert r.candidates_tried == (2 if hit else budget)
 
 
 def test_puncture_shorten_strategy_punctures():
