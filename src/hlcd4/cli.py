@@ -11,7 +11,9 @@ Search is serial and its result depends only on the seed and the candidate
 index; ``search --threads`` is accepted and ignored.
 
 Exit codes: 0 success, 1 domain error (a JSON object describing it goes to
-standard error), 2 usage error.
+standard error), 2 usage error.  ``pair-check`` also exits 1 for a pair that
+is not a valid isotropic pair; that exit is its verdict, and its report goes
+to standard output either way.
 """
 
 from __future__ import annotations
@@ -272,9 +274,9 @@ def _cmd_verify_table(args) -> int:
     return 0 if ok else 1
 
 
-def _int_at_least(low: int, name: str):
-    """An argparse type for integers >= low.  ``name`` is the type name
-    argparse prints when the text is not an integer."""
+def _int_at_least(low: int):
+    """An argparse type for integers >= low, named ``int`` in argparse's
+    error text when the text is not an integer."""
 
     def parse(text: str) -> int:
         value = int(text)
@@ -282,12 +284,12 @@ def _int_at_least(low: int, name: str):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    parse.__name__ = name
+    parse.__name__ = "int"
     return parse
 
 
-_positive_int = _int_at_least(1, "_positive_int")
-_nonnegative_int = _int_at_least(0, "_nonnegative_int")
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,11 +384,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.func(args)
     except Hlcd4Error as e:
-        err = {"error": type(e).__name__, "message": str(e)}
-        for attr in ("line", "column", "xx", "yy", "xy", "upper_bound"):
-            v = getattr(e, attr, None)
-            if v is not None:
-                err[attr] = v
+        err = {"error": type(e).__name__, "message": str(e), **e.fields}
         print(json.dumps(err), file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:

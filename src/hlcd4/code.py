@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceededError, RankDeficientError, TooLargeError
-from .gf4 import MUL, from_symbols, to_symbols
+from .gf4 import CONJ, MUL, from_symbols, to_symbols
 
 
 # Codeword budget for weight computations whose caller did not ask for an
@@ -83,16 +83,11 @@ class LinearCode:
             raise ValueError("code length must be at least 1")
         if gen.size and gen.max() > 3:
             raise ValueError("entries must be in 0..3")
-        k, n = gen.shape
-        if k > 0:
-            R, pivots = linalg.rref(gen)
-            if len(pivots) != k:
-                raise RankDeficientError(
-                    f"generator matrix has rank {len(pivots)}, expected {k}"
-                )
-            self._canonical = R
-        else:
-            self._canonical = gen.copy()
+        k = gen.shape[0]
+        R, pivots = linalg.rref(gen)
+        if len(pivots) != k:
+            raise RankDeficientError(f"generator matrix has rank {len(pivots)}, expected {k}")
+        self._canonical = R
         self._gen = gen.copy()
         self._gen.setflags(write=False)
         self._canonical.setflags(write=False)
@@ -155,12 +150,7 @@ class LinearCode:
         conj(G) x^T = 0, so the dual is the kernel of the conjugated
         generator matrix.
         """
-        n, k = self.n, self.k
-        if k == 0:
-            return LinearCode(linalg.identity(n))
-        if k == n:
-            return LinearCode(np.zeros((0, n), dtype=np.uint8))
-        return LinearCode(linalg.kernel(linalg.conj_transpose(self._gen).T))
+        return LinearCode(linalg.kernel(CONJ[self._gen]))
 
     def hull_dim(self) -> int:
         """Dimension of the intersection with the Hermitian dual.
@@ -515,31 +505,33 @@ def _layer_planes(s: _InfoSet, v: int):
 
 
 def _schedule(k: int, deficits: list[int]):
-    """The (set, message weight) steps of the enumeration.
+    """The (set, message weight, bound) steps of the enumeration.
 
     Round w brings every set to message weight w, except sets whose deficit
     is above w: they would add nothing to the bound yet, and catch up in the
-    first round that lets them.
+    first round that lets them.  ``bound`` is the lower bound on the weight
+    of every codeword not enumerated before the step.
     """
     done = [0] * len(deficits)
+    # Every nonzero codeword has a nonzero on each full set.
+    bound = deficits.count(0)
     for w in range(1, k + 1):
         for j, deficit in enumerate(deficits):
             while deficit <= w and done[j] < w:
                 done[j] += 1
-                yield j, done[j]
+                yield j, done[j], bound
+                bound += done[j] >= deficit
 
 
 def _enumeration_cost(k, words, deficits, target) -> float:
     """Projected cost of enumerating until the lower bound reaches
     ``target`` or every message has been enumerated."""
-    bound = deficits.count(0)
     cost = 0
-    for j, v in _schedule(k, deficits):
+    for _, v, bound in _schedule(k, deficits):
         if bound >= target:
             break
         size = _layer_size(k, v)
         cost += _CODEWORD_COST * words * size + _CHUNK_COST * (k - v + 1 + size // _CHUNK)
-        bound += v >= deficits[j]
     return cost
 
 
@@ -547,15 +539,11 @@ def _set_layers(gen: np.ndarray):
     """The information-set enumeration as ``_enumerate`` layers, one per
     (set, message weight) step, each with the lower bound it starts from."""
     sets = _information_sets(gen)
-    deficits = [s.deficit for s in sets]
-    # Every nonzero codeword has a nonzero on each full set.
-    bound = deficits.count(0)
-    for j, v in _schedule(len(gen), deficits):
+    k, n = gen.shape
+    for j, v, bound in _schedule(k, [s.deficit for s in sets]):
         yield bound, _layer_chunks(sets[j], v)
-        bound += v >= deficits[j]
-    # Set 0 has enumerated every message: nothing is left unseen, and the
-    # bound, at least one more than the nonzero columns, exceeds every weight.
-    yield bound, ()
+    # Set 0 has enumerated every message: nothing is left unseen.
+    yield n + 1, ()
 
 
 def _gray_chunks(gen: np.ndarray):

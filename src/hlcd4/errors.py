@@ -2,7 +2,16 @@
 
 
 class Hlcd4Error(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    Keyword fields become attributes; the ones that are not None, in the
+    order given, are also kept in ``fields`` for error reports.
+    """
+
+    def __init__(self, message="", **fields):
+        super().__init__(message)
+        self.__dict__.update(fields)
+        self.fields = {key: value for key, value in fields.items() if value is not None}
 
 
 class LengthMismatchError(Hlcd4Error):
@@ -28,15 +37,10 @@ class ZeroVectorError(Hlcd4Error):
 class IsotropyError(Hlcd4Error):
     """A vector pair violates the self/mutual-orthogonality hypothesis.
 
-    Carries the offending inner products so callers can report which of
-    (x,x)_h, (y,y)_h, (x,y)_h is nonzero.
+    Carries the offending inner products as the fields ``xx``, ``yy`` and
+    ``xy``, so callers can report which of (x,x)_h, (y,y)_h, (x,y)_h is
+    nonzero.
     """
-
-    def __init__(self, message, xx, yy, xy):
-        super().__init__(message)
-        self.xx = xx
-        self.yy = yy
-        self.xy = xy
 
 
 class AllCoordinatesDeletedError(Hlcd4Error):
@@ -54,12 +58,9 @@ class NotLcdError(Hlcd4Error):
 class BudgetExceededError(Hlcd4Error):
     """An enumeration budget ran out before the result was exact.
 
-    ``upper_bound`` is the best (smallest) codeword weight seen so far.
+    The field ``upper_bound`` is the best (smallest) codeword weight seen so
+    far.
     """
-
-    def __init__(self, message, upper_bound):
-        super().__init__(message)
-        self.upper_bound = upper_bound
 
 
 class TooLargeError(Hlcd4Error):
@@ -75,15 +76,17 @@ class NoPairExistsError(Hlcd4Error):
 
 
 class CodeFileError(Hlcd4Error):
-    """A generator-matrix file does not conform to the expected format."""
+    """A generator-matrix file does not conform to the expected format.
+
+    The message ends with the location given by the fields ``line`` and
+    ``column``, where they are known.
+    """
 
     def __init__(self, message, line=None, column=None):
         loc = ""
         if line is not None:
             loc = f" (line {line}" + (f", column {column})" if column is not None else ")")
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
+        super().__init__(message + loc, line=line, column=column)
 
 
 class UnknownEntryError(Hlcd4Error):

@@ -101,6 +101,4 @@ def hermitian_inner(x: np.ndarray, y: np.ndarray) -> int:
     """sum_i x_i * conj(y_i).  Conjugate-symmetric sesquilinear form."""
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
-    if len(x) == 0:
-        return 0
     return int(np.bitwise_xor.reduce(MUL[x, CONJ[y]]))

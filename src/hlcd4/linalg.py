@@ -77,8 +77,6 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: np.ndarray) -> int:
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        return 0
     return len(rref(m)[1])
 
 
@@ -88,9 +86,7 @@ def kernel(m: np.ndarray) -> np.ndarray:
     Returns a (c - rank) x c matrix where c = m.shape[1]; rows come from the
     free columns of the reduced form in ascending column order.
     """
-    rows, cols = m.shape
-    if rows == 0:
-        return identity(cols)
+    cols = m.shape[1]
     R, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]

@@ -115,8 +115,7 @@ def random_lcd(n: int, k: int, rng, max_retries: int = _RETRY_CAP) -> LinearCode
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     for _ in range(max_retries):
         a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
         code = LinearCode(np.hstack([linalg.identity(k), a]))
@@ -165,8 +164,7 @@ def sample_isotropic_pair(length: int, rng) -> IsotropicPair:
     """
     if length < 2:
         raise NoPairExistsError(f"no isotropic pair exists at length {length}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     for _ in range(_RETRY_CAP):
         x = rng.integers(0, 4, size=length, dtype=np.uint8)
         if x.any() and weight(x) % 2 == 0:

@@ -214,8 +214,6 @@ def shorten(code: LinearCode, coords: Union[int, Sequence[int]]) -> LinearCode:
     drop, keep = _normalize_coords(coords, code.n, "shorten")
     if not drop:
         return code
-    if code.k == 0:
-        return LinearCode(linalg.zeros(0, len(keep)))
     # Messages m with (m G) zero on the dropped coordinates form the left
     # null space of G restricted to those columns.
     restricted = code.gen[:, drop]
@@ -300,9 +298,8 @@ def orthonormalize(code: LinearCode) -> np.ndarray:
                 W[[step, step + i]] = W[[step + i, step]]
         v = W[step]
         rest = W[step + 1 :]
-        if rest.shape[0]:
-            ips = linalg.multiply(rest, linalg.conj_transpose(v[None, :]))
-            rest ^= MUL[ips, v[None, :]]
+        ips = linalg.multiply(rest, linalg.conj_transpose(v[None, :]))
+        rest ^= MUL[ips, v[None, :]]
     if not np.array_equal(linalg.gram(W), linalg.identity(k)):
         raise NotLcdError("orthonormalization failed to reach the identity Gram")
     return W

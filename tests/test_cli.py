@@ -282,6 +282,11 @@ def test_domain_error_carries_location(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CodeFileError"
     assert err["line"] == 2 and err["column"] == 2
+    # A field the error does not know is left out, not written as null.
+    path.write_text("10w\n01\n")
+    assert cli.main(["info", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["line"] == 2 and "column" not in err
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -304,6 +309,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
+    capsys.readouterr()
+    # A bound-checked integer option names its type ``int`` when the text is
+    # not an integer.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["info", path, "--budget", "abc"])
+    assert exc.value.code == 2
+    assert "argument --budget: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -87,6 +87,7 @@ def test_rank_basics(rng):
     assert linalg.rank(linalg.identity(5)) == 5
     assert linalg.rank(linalg.zeros(3, 4)) == 0
     assert linalg.rank(np.zeros((0, 4), dtype=np.uint8)) == 0
+    assert linalg.rank(np.zeros((3, 0), dtype=np.uint8)) == 0
     m = random_full_rank(rng, 4, 7)
     doubled = np.vstack([m, m])
     assert linalg.rank(doubled) == 4
@@ -108,6 +109,9 @@ def test_kernel_properties(rng):
 def test_kernel_of_empty_matrix():
     ker = linalg.kernel(np.zeros((0, 4), dtype=np.uint8))
     assert np.array_equal(ker, linalg.identity(4))
+    # No columns: an empty basis; full column rank: no vectors of length 4.
+    assert linalg.kernel(np.zeros((3, 0), dtype=np.uint8)).shape == (0, 0)
+    assert linalg.kernel(linalg.identity(4)).shape == (0, 4)
 
 
 def test_standard_form_round_trip(rng):

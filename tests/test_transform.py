@@ -144,6 +144,9 @@ def test_shorten_hand_example():
     assert shorten(c, []) == c
     with pytest.raises(AllCoordinatesDeletedError):
         shorten(c, [1, 2, 3])
+    # The zero code shortens to the zero code one coordinate shorter.
+    zero = shorten(LinearCode(np.zeros((0, 4), dtype=np.uint8)), 2)
+    assert zero.k == 0 and zero.n == 3
 
 
 def test_puncture_to_zero_code():
