@@ -4,16 +4,20 @@ Three strategies:
 
 RANDOM draws standard-form generator matrices (I_k | A) with uniform A and
 keeps the first candidate that is LCD with minimum weight at or above the
-target.  Each candidate index seeds its own generator stream.  Candidates
-are drawn in blocks of B consecutive indices (B from k alone, at most 64);
-one vectorised light weight test, over messages of weight at most 3, covers
-the whole block at any length, and only its survivors, in index order, take
-the weight check (for targets above 4) and the LCD check.  The result is
-therefore the lowest hit index, a pure function of (seed, index) that does
-not depend on B.  The light test and both paths of the engine behind the
-weight check read one packed row-multiples table (``code._row_multiples``),
-at every length.  ``SearchConfig.threads`` is accepted and ignored: a thread
-pool over these small numpy calls ran slower than one thread.
+target.  Candidate i's A is numpy's ``default_rng([seed, i]).integers(0, 4,
+size=(k, n - k), dtype=uint8)``, reproduced for about a thousand
+consecutive indices at once (``_candidate_block``: the SeedSequence hash,
+PCG64 seeding and XSL-RR outputs on arrays of lanes) and checked against
+numpy in the tests.  The drawn candidates are tested in blocks of B
+consecutive indices (B from k alone, at most 64); one vectorised light
+weight test, over messages of weight at most 3, covers the whole block at
+any length, and only its survivors, in index order, take the weight check
+(for targets above 4) and the LCD check.  The result is therefore the
+lowest hit index, a pure function of (seed, index) that depends on neither
+block size.  The light test and both paths of the engine behind the weight
+check read one packed row-multiples table (``code._row_multiples``), at
+every length.  ``SearchConfig.threads`` is accepted and ignored: search is
+serial.
 
 AXY_NEIGHBORHOOD hill-climbs from an LCD base code using the two-vector
 update: sample an isotropic pair, apply the update, accept moves that
@@ -103,6 +107,106 @@ def _candidate_rng(seed: int, index: int) -> np.random.Generator:
     # One independent stream per candidate; the pair (seed, index) is the
     # only input.
     return np.random.default_rng([seed, index])
+
+
+# Random search draws streams for this many consecutive candidate indices
+# at once (rounded to whole light-test blocks).
+_LANES = 1024
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq mixing).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier as high and low 64-bit limbs.
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_M32 = 0xFFFFFFFF
+
+
+def _seed_states(seed: int, index: np.ndarray) -> list:
+    """``SeedSequence([seed, i]).generate_state(8, uint32)`` for each lane
+    i of ``index``, as eight uint32 arrays; seed and i below 2^32."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ result >> 16
+
+    # Entropy [seed, i] padded with zeros to the pool size of four words.
+    zero = np.zeros_like(index)
+    pool = [hashmix(word) for word in (zero + seed, index, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const
+        state.append(value ^ value >> 16)
+    return state
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One step of PCG64's LCG, state * multiplier + increment mod 2^128,
+    on lanes of (high, low) uint64 limbs."""
+    # High word of lo * _PCG_LO from 32-bit partial products.
+    lo0, lo1 = lo & _M32, lo >> 32
+    b0, b1 = _PCG_LO & _M32, _PCG_LO >> 32
+    p01, p10 = lo0 * b1, lo1 * b0
+    mid = (lo0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = lo1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _PCG_LO + inc_lo
+    new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _pcg_entries(seed: int, index: np.ndarray, size: int) -> np.ndarray:
+    """``default_rng([seed, i]).integers(0, 4, size, dtype=uint8)`` for each
+    lane i of ``index``: a (lanes, size) array; seed and i below 2^32."""
+    s = [w.astype(np.uint64) for w in _seed_states(seed, index)]
+    # generate_state(4, uint64) pairs the words little-endian.
+    seed_hi, seed_lo, inc_hi, inc_lo = (s[j] | s[j + 1] << 32 for j in range(0, 8, 2))
+    # Set-seq seeding: state 0, increment (inc << 1) | 1, step, add the
+    # seed, step.
+    inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+    words = np.empty((len(index), -(-size // 8)), dtype="<u8")
+    for t in range(words.shape[1]):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output: rotate hi ^ lo right by the top six bits.
+        x, r = hi ^ lo, hi >> 58
+        words[:, t] = x >> r | x << (64 - r & 63)
+    # integers() takes its uint8 draws from the little-endian bytes of the
+    # outputs; Lemire's method with range 4 never rejects and keeps the
+    # top two bits.
+    return words.view(np.uint8)[:, :size] >> 6
+
+
+def _candidate_block(seed: int, start: int, count: int, k: int, m: int) -> np.ndarray:
+    """The (count, k, m) uint8 array whose row i is candidate start + i's
+    ``_candidate_rng(seed, start + i).integers(0, 4, size=(k, m),
+    dtype=uint8)``, computed for every candidate at once.  A seed or index
+    of 2^32 or more makes SeedSequence take more entropy words; those
+    candidates draw from numpy one at a time."""
+    computed = max(0, min(count, 2**32 - start)) if seed < 2**32 else 0
+    block = np.empty((count, k, m), dtype=np.uint8)
+    if computed:
+        index = np.arange(start, start + computed, dtype=np.uint32)
+        block[:computed] = _pcg_entries(seed, index, k * m).reshape(computed, k, m)
+    for i in range(computed, count):
+        rng = _candidate_rng(seed, start + i)
+        block[i] = rng.integers(0, 4, size=(k, m), dtype=np.uint8)
+    return block
 
 
 def random_lcd(n: int, k: int, rng, max_retries: int = _RETRY_CAP) -> LinearCode:
@@ -195,27 +299,29 @@ def _block_size(k: int) -> int:
 def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
     n, k, target = config.n, config.k, config.target_d
     size = _block_size(k)
-    block = np.empty((size, k, n), dtype=np.uint8)
-    block[:, :, :k] = linalg.identity(k)
-    for start in range(0, config.budget, size):
-        stop = min(start + size, config.budget)
-        gens = block[: stop - start]
-        for j in range(stop - start):
-            rng = _candidate_rng(config.seed, start + j)
-            gens[j, :, k:] = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
-        # The light test rejects most candidates and fully decides
-        # d >= target when target <= 4; above that its survivors take the
-        # engine.
-        survivors = np.flatnonzero(_light_min_weight(gens[:, :, k:]) >= target)
-        for j in survivors:
-            gen = gens[j]
-            if target > 4:
-                r = _min_weight(gen, cutoff=target)
-                if not (r.exact and r.best >= target):
-                    continue
-            code = LinearCode(gen)
-            if code.is_lcd():
-                return code, start + int(j) + 1
+    lanes = max(_LANES // size, 1) * size
+    drawn = np.empty((lanes, k, n), dtype=np.uint8)
+    drawn[:, :, :k] = linalg.identity(k)
+    for first in range(0, config.budget, lanes):
+        last = min(first + lanes, config.budget)
+        drawn[: last - first, :, k:] = _candidate_block(
+            config.seed, first, last - first, k, n - k
+        )
+        for start in range(first, last, size):
+            gens = drawn[start - first : min(start + size, last) - first]
+            # The light test rejects most candidates and fully decides
+            # d >= target when target <= 4; above that its survivors take
+            # the engine.
+            survivors = np.flatnonzero(_light_min_weight(gens[:, :, k:]) >= target)
+            for j in survivors:
+                gen = gens[j]
+                if target > 4:
+                    r = _min_weight(gen, cutoff=target)
+                    if not (r.exact and r.best >= target):
+                        continue
+                code = LinearCode(gen)
+                if code.is_lcd():
+                    return code, start + int(j) + 1
     return None, config.budget
 
 

@@ -20,6 +20,7 @@ from hlcd4.search import (
     SearchResult,
     Strategy,
     VerifyStatus,
+    _LANES,
     _block_size,
     elliptic_quadric_code,
     random_lcd,
@@ -104,11 +105,14 @@ def _first_hit(config):
         (65, 3, 46, 1),  # two words: light test, then cutoff scan; hit at 74
         (70, 5, 4, 2),  # two words, target <= 4: the light test decides; hit at 2
         (8, 4, 6, 1),  # above the Singleton bound: every budget runs out
+        (13, 7, 5, 1),  # hit at 1220, past the first block of streams
     ],
 )
 def test_random_search_matches_candidate_loop(n, k, target, seed):
     size = _block_size(k)
-    budgets = (1, size - 1, size, size + 1, 2 * size + 3)
+    # budgets around the light-test block and the block of drawn streams
+    budgets = (1, size - 1, size, size + 1, 2 * size + 3,
+               _LANES - 1, _LANES, _LANES + 1, 3 * _LANES)
     hit, gen = _first_hit(SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=budgets[-1]))
     for budget in budgets:
         r = search(SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=budget))
