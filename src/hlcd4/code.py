@@ -9,19 +9,16 @@ Minimum weight comes from one engine.  Scalar multiples of a codeword share
 its weight, so only messages whose first nonzero symbol is 1 are visited.
 Codewords are packed into two bit planes (low and high bit of each symbol) of
 W = ceil(n/64) machine words each; the weight is the popcount summed over the
-words.  One table of the packed rows' 1, w and w^2 multiples feeds all three
+words.  One table of the packed rows' 1, w and w^2 multiples feeds both
 weight enumerators, at every length: the batched light test of search
-(messages of weight at most 3) and both paths of the engine.  The engine
-enumerates messages by weight over several information sets
-(Brouwer-Zimmermann) and stops once a lower bound on the weight of every
-codeword not yet seen meets the best weight found.  The path is chosen once,
-before any enumeration: where closing that bound is projected to cost more
-than visiting all (4^k - 1)/3 projective classes, the engine walks them
-instead, along a binary reflected Gray code of the message suffix, one table
-lookup and two XORs per class and word.  Both paths feed one loop that
-applies the bound, the cutoff and the enumeration budget, which counts the
-codewords either path visits.  An independent oracle recomputes every
-codeword from scratch for cross-checking.
+(messages of weight at most 3) and the engine.  The engine enumerates
+messages by weight over several information sets (Brouwer-Zimmermann) and
+stops once a lower bound on the weight of every codeword not yet seen meets
+the best weight found; one loop applies that bound, the cutoff and the
+enumeration budget, which counts the codewords enumerated.  An independent
+oracle counts the weight of every codeword from scratch, of the code itself
+for k <= 10 or of its Hermitian dual for n - k <= 10 (then transformed by the
+MacWilliams identity), for cross-checking.
 """
 
 from __future__ import annotations
@@ -176,8 +173,8 @@ class LinearCode:
         """Exact minimum weight over all nonzero codewords.
 
         Args:
-            budget: maximum number of codewords the engine may enumerate
-                (information-set codewords and Gray-walk classes alike).
+            budget: maximum number of information-set codewords the engine
+                may enumerate.
 
         Raises:
             BudgetExceededError: carrying the best upper bound found, when
@@ -234,32 +231,63 @@ def hull_dim_oracle(c: LinearCode) -> int:
 
 
 def min_weight_oracle(c: LinearCode) -> int:
-    """Minimum weight by materializing every nonzero codeword from scratch.
+    """Minimum weight from a weight distribution counted from scratch.
 
-    No incremental updates and no projective reduction; each codeword is an
-    independent message-times-matrix product.  Raises TooLargeError for
-    k > 10.
+    For k <= 10 the distribution is the code's own; otherwise, for
+    n - k <= 10, it is the Hermitian dual's, carried over to the code by the
+    MacWilliams identity.  Raises TooLargeError when both k and n - k
+    exceed 10.
     """
     k, n = c.k, c.n
     if k < 1:
         raise ValueError("minimum weight requires k >= 1")
-    if k > 10:
-        raise TooLargeError(f"oracle enumerates 4^k codewords; k={k} > 10")
-    gen = c.gen
+    if k <= 10:
+        counts = _weight_distribution(c.gen)
+    elif n - k <= 10:
+        counts = _macwilliams(_weight_distribution(c.hermitian_dual().gen), n)
+    else:
+        raise TooLargeError(f"oracle enumerates 4^min(k, n-k) codewords; k={k}, n-k={n - k} > 10")
+    return next(j for j in range(1, n + 1) if counts[j])
+
+
+def _weight_distribution(gen: np.ndarray) -> list[int]:
+    """[A_0, ..., A_n]: how many of the 4^k codewords have each weight.
+
+    No incremental updates and no projective reduction; each codeword is an
+    independent message-times-matrix product.
+    """
+    k, n = gen.shape
     total = 4**k
-    best = n + 1
+    counts = np.zeros(n + 1, dtype=np.int64)
     chunk = 1 << 14
     shifts = 2 * np.arange(k, dtype=np.uint64)
-    for start in range(1, total, chunk):
+    for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
         msgs = ((idx[:, None] >> shifts[None, :]) & 3).astype(np.uint8)
         cw = np.zeros((len(idx), n), dtype=np.uint8)
         for i in range(k):
-            cw ^= MUL[msgs[:, i, None], gen[i][None, :]]
-        w = int(np.count_nonzero(cw, axis=1).min())
-        if w < best:
-            best = w
-    return best
+            # Row f of MUL[:, gen[i]] is f times row i.
+            cw ^= MUL[:, gen[i]][msgs[:, i]]
+        counts += np.bincount(np.count_nonzero(cw, axis=1), minlength=n + 1)
+    return [int(a) for a in counts]
+
+
+def _macwilliams(dual_counts: list[int], n: int) -> list[int]:
+    """The weight distribution of a code from that of its Hermitian dual.
+
+    A_j = 4^-(n-k) sum_i B_i K_j(i), with the Krawtchouk polynomial
+    K_j(i) = sum_s (-1)^s 3^(j-s) C(i, s) C(n-i, j-s), in exact integers;
+    the dual has 4^(n-k) codewords.
+    """
+    size = sum(dual_counts)
+    return [
+        sum(
+            b * sum((-1) ** s * 3 ** (j - s) * comb(i, s) * comb(n - i, j - s) for s in range(j + 1))
+            for i, b in enumerate(dual_counts)
+        )
+        // size
+        for j in range(n + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +300,12 @@ def min_weight_oracle(c: LinearCode) -> int:
 #   w * (p0, p1) = (p1, p0 ^ p1)
 #   w^2 * (p0, p1) = (p0 ^ p1, p0)
 # Weight is the popcount of p0 | p1.  ``_row_multiples`` is the one place
-# that packs rows and forms these multiples; the light test, the information
-# sets and the Gray walk all read from its table, at every length.
+# that packs rows and forms these multiples; the light test and the
+# information sets both read from its table, at every length.
 
 
-# Codewords per enumerated chunk, on either path.  Gray-walk chunks of 2^16
-# ran no faster than 2^13 and took about 4 MiB more peak memory.
+# Codewords per enumerated chunk, and the largest layer an information set
+# keeps for the next message weight to extend.
 _CHUNK = 1 << 13
 
 
@@ -367,7 +395,7 @@ def _light_min_weight(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The minimum-weight engine: Brouwer-Zimmermann enumeration over several
 # information sets (Grassl, "Searching for linear codes with large minimum
-# distance", 2006), with the projective-class Gray walk as its full sweep.
+# distance", 2006).
 #
 # Information set j is the identity of a generator G_j, so a message m of
 # weight v gives the codeword of weight v + wt(m A_j), A_j being the other
@@ -380,17 +408,6 @@ def _light_min_weight(a: np.ndarray) -> np.ndarray:
 # j of max(0, v_j + 1 - (k - r_j)).  The enumeration stops as soon as that
 # lower bound reaches the best weight seen.
 
-# Costs of the enumeration in Gray-walk class-words (one projective class
-# of the walk over one 64-bit word, about 19 ns): one information-set
-# codeword per word of its redundant part, one chunk whatever its size, and
-# one information set per generator row (``linalg.rref``).  Measured on a
-# 2 vCPU Xeon: codewords and classes by least-squares fits to timings of
-# both paths on random codes with 16 <= n <= 128, 5 <= k <= 13, chunks and
-# sets by profiling.
-_CODEWORD_COST = 0.2
-_CHUNK_COST = 500
-_SET_COST = 1800
-
 
 class _Weight(NamedTuple):
     """What one minimum-weight computation found.
@@ -400,8 +417,8 @@ class _Weight(NamedTuple):
     ``bound`` is the final lower bound on the minimum distance (so
     ``bound <= d <= best``, with equality when exact), and
     ``stop`` says why the enumeration ended: ``bound`` (the lower bound met
-    ``best``), ``cutoff`` (``best`` fell below the cutoff), ``budget``, or
-    ``gray`` (the Gray walk over every projective class ran to its end).
+    ``best``, which it always does in the end), ``cutoff`` (``best`` fell
+    below the cutoff) or ``budget``.
     """
 
     best: int
@@ -523,18 +540,6 @@ def _schedule(k: int, deficits: list[int]):
                 bound += done[j] >= deficit
 
 
-def _enumeration_cost(k, words, deficits, target) -> float:
-    """Projected cost of enumerating until the lower bound reaches
-    ``target`` or every message has been enumerated."""
-    cost = 0
-    for _, v, bound in _schedule(k, deficits):
-        if bound >= target:
-            break
-        size = _layer_size(k, v)
-        cost += _CODEWORD_COST * words * size + _CHUNK_COST * (k - v + 1 + size // _CHUNK)
-    return cost
-
-
 def _set_layers(gen: np.ndarray):
     """The information-set enumeration as ``_enumerate`` layers, one per
     (set, message weight) step, each with the lower bound it starts from."""
@@ -546,45 +551,8 @@ def _set_layers(gen: np.ndarray):
     yield n + 1, ()
 
 
-def _gray_chunks(gen: np.ndarray):
-    """The weight of one codeword per projective message class, in chunks
-    of at most ``_CHUNK``.
-
-    Classes go by the leading nonzero message position, then by a Gray walk
-    of the suffix, so budgets are reproducible.
-    """
-    rows0, rows1 = _row_multiples(gen)
-    words, k, _ = rows0.shape
-    for lead in range(k):
-        suffix = k - 1 - lead
-        # Delta planes for toggling bit b of the suffix counter: even bits add
-        # the row itself, odd bits add w times the row.
-        d0 = rows0[:, lead + 1 :, :2].reshape(words, -1)
-        d1 = rows1[:, lead + 1 :, :2].reshape(words, -1)
-        carry0, carry1 = rows0[:, lead, 0].copy(), rows1[:, lead, 0].copy()
-        yield np.bitwise_count(carry0 | carry1).sum(dtype=np.intp, keepdims=True)
-        count = 4**suffix
-        for t in range(1, count, _CHUNK):
-            ts = np.arange(t, min(t + _CHUNK, count), dtype=np.uint64)
-            # Gray-walk ruler: the index of the lowest set bit of each t, as
-            # intp because gathers with uint8 indices run about 3x slower.
-            bit = (np.bitwise_count(ts ^ (ts - 1)) - 1).astype(np.intp)
-            # One pass per word over contiguous 1-D arrays; the per-word
-            # counts are summed in a wider type, since a uint8 count wraps
-            # past n = 255.
-            for w in range(words):
-                c0 = np.bitwise_xor.accumulate(d0[w][bit])
-                c1 = np.bitwise_xor.accumulate(d1[w][bit])
-                c0 ^= carry0[w]
-                c1 ^= carry1[w]
-                count_w = np.bitwise_count(c0 | c1)
-                weights = count_w if w == 0 else np.add(weights, count_w, dtype=np.intp)
-                carry0[w], carry1[w] = c0[-1], c1[-1]
-            yield weights
-
-
 def _enumerate(layers, n: int, cutoff: Optional[int], budget: Optional[int]) -> _Weight:
-    """The enumeration loop of both paths, and every rule that stops it.
+    """The enumeration loop, and every rule that stops it.
 
     ``layers`` yields (bound, chunks): ``bound`` is a lower bound on the
     weight of every codeword not enumerated before the layer, and
@@ -592,7 +560,7 @@ def _enumerate(layers, n: int, cutoff: Optional[int], budget: Optional[int]) -> 
     loop stops, exact, once the bound meets the best weight seen or a
     codeword at or below the bound turns up; not exact, at the first
     codeword below ``cutoff``, or once ``budget`` codewords have been
-    counted.  The Gray walk is one layer with bound 0, which never ends it.
+    counted.  The last layer's bound, n + 1, meets every best weight.
     """
     best, tried, bound = n + 1, 0, 0
 
@@ -625,7 +593,6 @@ def _enumerate(layers, n: int, cutoff: Optional[int], budget: Optional[int]) -> 
             best = min(best, low)
             if len(weights) < whole:
                 return result(False, "budget")
-    return result(True, "gray")
 
 
 def _min_weight(
@@ -635,30 +602,10 @@ def _min_weight(
 ) -> _Weight:
     """Minimum weight of the code spanned by a full-rank generator.
 
-    The path is chosen once, before any enumeration: information-set
-    codewords by message weight until the lower bound meets the best weight
-    seen (exact), or, when the projected cost of closing that bound is no
-    less than that of visiting every projective class, the Gray walk over
-    all of them.  Either runs through ``_enumerate`` and stops early, not
-    exact, once the best weight falls below ``cutoff`` or ``budget``
-    codewords have been enumerated; codewords count as they are enumerated,
-    so a budget of the unbounded run's ``tried`` completes.
+    Information-set codewords are enumerated by message weight until the
+    lower bound meets the best weight seen (exact), or, not exact, until the
+    best weight falls below ``cutoff`` or ``budget`` codewords have been
+    enumerated; codewords count as they are enumerated, so a budget of the
+    unbounded run's ``tried`` completes.
     """
-    k, n = gen.shape
-    gray = (4**k - 1) // 3 * -(-n // 64)
-    # A generator row is a codeword: its weight is the target.  Before
-    # building any set, assume the generic ones: n // k disjoint sets and
-    # one partial set.
-    lightest = int(np.count_nonzero(gen, axis=1).min())
-    guess = [0] * (n // k) + [k - n % k] * (n % k > 0)
-    words = -(-max(n - k, 1) // 64)
-    build = _SET_COST * k * len(guess)
-    if build + _enumeration_cost(k, words, guess, lightest) >= gray:
-        return _gray_weight(gen, cutoff, budget)
-    return _enumerate(_set_layers(gen), n, cutoff, budget)
-
-
-def _gray_weight(gen, cutoff=None, budget=None) -> _Weight:
-    """``_min_weight`` with the Gray walk forced: one codeword per
-    projective class, exact when it runs to its end."""
-    return _enumerate([(0, _gray_chunks(gen))], gen.shape[1], cutoff, budget)
+    return _enumerate(_set_layers(gen), gen.shape[1], cutoff, budget)

@@ -1,10 +1,11 @@
 """Dense matrices over the four-element field.
 
-Matrices are numpy uint8 arrays with values in {0, 1, 2, 3}; all row
-operations work through the tables in :mod:`hlcd4.gf4`.  Row reduction
-picks the first nonzero entry scanning top-to-bottom in the leftmost
-unresolved column, so the reduced form is deterministic and serves as the
-canonical representative for code equality.
+Matrices are numpy uint8 arrays with values in {0, 1, 2, 3}; products work
+through the tables in :mod:`hlcd4.gf4`, and row reduction on each row's two
+bit planes held as Python ints.  Row reduction picks the first nonzero entry
+scanning top-to-bottom in the leftmost unresolved column, so the reduced
+form is deterministic and serves as the canonical representative for code
+equality.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .gf4 import CONJ, INV, MUL
+from .gf4 import CONJ, MUL
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,29 +52,46 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivot; pivot_cols lists the pivot column indices in order.  The row
         space of R equals the row space of m.
     """
-    R = np.array(m, dtype=np.uint8, copy=True)
-    rows, cols = R.shape
+    m = np.asarray(m, dtype=np.uint8)
+    rows, cols = m.shape
+    size = -(-cols // 8)
+    # Each row is two Python ints, its low and high bit planes, column j at
+    # bit j; scaling by w or w^2 permutes and mixes the planes as in
+    # :mod:`hlcd4.code`.
+    lo, hi = (
+        [int.from_bytes(p, "little") for p in np.packbits(plane, axis=1, bitorder="little")]
+        for plane in (m & 1, m >> 1)
+    )
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    for r in range(rows):
+        # Rows from r on are zero in every unresolved column left of the
+        # next pivot, so that column is the lowest bit set in any of them.
+        rest = 0
+        for i in range(r, rows):
+            rest |= lo[i] | hi[i]
+        if not rest:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        if R[r, c] != 1:
-            R[r] = MUL[INV[R[r, c]], R[r]]
-        factors = R[:, c].copy()
-        factors[r] = 0
-        mask = factors != 0
-        if mask.any():
-            R[mask] ^= MUL[factors[mask][:, None], R[r][None, :]]
-        pivots.append(c)
-        r += 1
-    return R, pivots
+        bit = rest & -rest
+        p = next(i for i in range(r, rows) if (lo[i] | hi[i]) & bit)
+        lo[r], lo[p], hi[r], hi[p] = lo[p], lo[r], hi[p], hi[r]
+        # 1, w and w^2 times the pivot row, scaled first to a leading 1.
+        a, b = lo[r], hi[r]
+        if b & bit:
+            a, b = (a ^ b, a) if not a & bit else (b, a ^ b)
+        multiples = ((a, b), (b, a ^ b), (a ^ b, a))
+        lo[r], hi[r] = a, b
+        for i in range(rows):
+            f = bool(lo[i] & bit) | bool(hi[i] & bit) << 1
+            if f and i != r:
+                a, b = multiples[f - 1]
+                lo[i] ^= a
+                hi[i] ^= b
+        pivots.append(bit.bit_length() - 1)
+    planes = np.frombuffer(
+        b"".join(p.to_bytes(size, "little") for p in lo + hi), dtype=np.uint8
+    ).reshape(2, rows, size)
+    R = np.unpackbits(planes, axis=2, count=cols, bitorder="little")
+    return R[0] | R[1] << 1, pivots
 
 
 def rank(m: np.ndarray) -> int:

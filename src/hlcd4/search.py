@@ -14,10 +14,9 @@ weight test, over messages of weight at most 3, covers the whole block at
 any length, and only its survivors, in index order, take the weight check
 (for targets above 4) and the LCD check.  The result is therefore the
 lowest hit index, a pure function of (seed, index) that depends on neither
-block size.  The light test and both paths of the engine behind the weight
-check read one packed row-multiples table (``code._row_multiples``), at
-every length.  ``SearchConfig.threads`` is accepted and ignored: search is
-serial.
+block size.  The light test and the engine behind the weight check read
+one packed row-multiples table (``code._row_multiples``), at every length.
+``SearchConfig.threads`` is accepted and ignored: search is serial.
 
 AXY_NEIGHBORHOOD hill-climbs from an LCD base code using the two-vector
 update: sample an isotropic pair, apply the update, accept moves that

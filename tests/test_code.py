@@ -8,7 +8,9 @@ from hlcd4.code import (
     CodeSummary,
     LinearCode,
     _light_min_weight,
+    _macwilliams,
     _min_weight,
+    _weight_distribution,
     hull_dim_oracle,
     min_weight_oracle,
 )
@@ -142,11 +144,10 @@ def test_min_weight_known_codes():
 
 def test_min_weight_budget_semantics(rng):
     # the budget counts enumerated codewords: a run completes exactly at its
-    # own count, on the Gray walk (k = 6) and on information sets (k = 10)
-    cases = [(random_standard(rng, 16, 6), "gray"), (random_standard(rng, 30, 10), "bound")]
-    for c, stop in cases:
+    # own count, at k = 6 and at k = 10
+    for c in (random_standard(rng, 16, 6), random_standard(rng, 30, 10)):
         r = _min_weight(c.gen)
-        assert r.exact and r.stop == stop
+        assert r.exact and r.stop == "bound"
         assert c.min_weight(budget=r.tried) == c.min_weight() == r.best
         with pytest.raises(BudgetExceededError) as exc:
             c.min_weight(budget=r.tried - 1)
@@ -156,8 +157,28 @@ def test_min_weight_budget_semantics(rng):
 
 
 def test_min_weight_oracle_limits(rng):
+    # k > 10 is counted on the dual while n - k <= 10; beyond both, too large
     with pytest.raises(TooLargeError):
         min_weight_oracle(random_standard(rng, 24, 11))
+    with pytest.raises(TooLargeError):
+        min_weight_oracle(random_standard(rng, 22, 11))
+    assert min_weight_oracle(LinearCode(linalg.identity(12))) == 1
+    c = random_standard(rng, 19, 11)
+    assert min_weight_oracle(c) == c.min_weight()
+
+
+def test_weight_distribution_and_macwilliams(rng):
+    # the brute-force distribution has A_0 = 1 and sums to 4^k; where both
+    # the code and its dual are small, MacWilliams on the dual's distribution
+    # gives the code's own, so both oracle branches agree
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(max(0, n - 7), min(n, 7) + 1))
+        c = random_code(rng, n, k)
+        counts = _weight_distribution(c.gen)
+        assert len(counts) == n + 1 and counts[0] == 1 and sum(counts) == 4**k
+        assert all(type(a) is int and a >= 0 for a in counts)
+        assert _macwilliams(_weight_distribution(c.hermitian_dual().gen), n) == counts
 
 
 def test_light_min_weight_bounds(rng):
@@ -187,8 +208,8 @@ def test_light_min_weight_bounds(rng):
 
 def test_scan_handles_n_above_64(rng, monkeypatch):
     # lengths on both sides of each narrowed word (8, 16 and 32 bits) and of
-    # each 64-bit word boundary; a short chunk makes the walk carry every
-    # word across chunk boundaries
+    # each 64-bit word boundary; a short chunk splits every layer and makes
+    # messages take tails of several rows
     for n in (8, 9, 16, 17, 32, 33, 63, 64, 65, 127, 128, 129):
         for k in (1, 3, 6):
             c = random_code(rng, n, k)

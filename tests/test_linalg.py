@@ -20,6 +20,28 @@ def naive_multiply(a, b):
     return out
 
 
+def naive_rref(m):
+    """Gauss-Jordan over ``gf4.mul`` on lists: in the leftmost unresolved
+    column, the first nonzero row from the top becomes the pivot."""
+    rows = [[int(x) for x in row] for row in m]
+    cols = m.shape[1]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = next(x for x in (1, 2, 3) if gf4.mul(x, rows[r][c]) == 1)
+        rows[r] = [gf4.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [gf4.add(x, gf4.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return np.array(rows, dtype=np.uint8).reshape(m.shape), pivots
+
+
 def test_multiply_matches_naive(rng):
     for _ in range(50):
         i, l, j = (int(v) for v in rng.integers(1, 6, size=3))
@@ -81,6 +103,23 @@ def test_rref_shape_and_idempotence(rng):
         assert np.array_equal(R, R2) and pivots == pivots2
         # row space unchanged: stacking adds no rank
         assert linalg.rank(np.vstack([m, R])) == linalg.rank(m)
+
+
+def test_rref_matches_naive(rng):
+    # empty shapes, k = 1, widths on both sides of 64-bit words, up to 30
+    # rows, with zeroed columns and repeated rows
+    shapes = [(0, 5), (4, 0), (0, 0), (1, 1), (1, 9)]
+    shapes += [(int(rng.integers(1, 31)), n) for n in (63, 64, 65, 129) for _ in range(3)]
+    shapes += [(int(rng.integers(1, 31)), int(rng.integers(1, 40))) for _ in range(60)]
+    for rows, cols in shapes:
+        m = rng.integers(0, 4, size=(rows, cols), dtype=np.uint8)
+        if rows and cols:
+            m[:, rng.random(cols) < 0.3] = 0
+            m[rng.integers(0, rows, size=rows // 3)] = m[rng.integers(0, rows)]
+        R, pivots = linalg.rref(m)
+        expected, expected_pivots = naive_rref(m)
+        assert R.dtype == np.uint8 and R.shape == m.shape
+        assert np.array_equal(R, expected) and pivots == expected_pivots, (rows, cols)
 
 
 def test_rank_basics(rng):

@@ -1,11 +1,11 @@
-"""The minimum-weight engine against the oracle and the Gray walk.
+"""The minimum-weight engine against the oracle.
 
 Property tests draw generators that are not in standard form and may have
 zero or repeated columns, so later information sets are partial.  Each
-input runs under the engine's own choice of path, with the information-set
-enumeration forced, and forced with tiny chunks (so layers split into many
-chunks, are not kept, and messages take tails of several rows), and with
-the Gray walk forced, also with tiny chunks (so chunks end mid-lead).
+input runs with the default chunk size and with tiny chunks (so layers split
+into many chunks, are not kept, and messages take tails of several rows).
+Codes with k > 10 and n - k <= 8 are checked against the oracle's MacWilliams
+branch.
 """
 
 from unittest import mock
@@ -15,21 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlcd4.code import LinearCode, _gray_weight, _min_weight, min_weight_oracle
+from hlcd4.code import LinearCode, _min_weight, min_weight_oracle
 from hlcd4.gf4 import MUL
 from hlcd4.search import elliptic_quadric_code
 
 from conftest import random_standard, scramble
 
-MODES = {
-    "auto": {},
-    "sets": {"_SET_COST": 0, "_CHUNK_COST": 0, "_CODEWORD_COST": 0},
-    "sets, tiny chunks": {
-        "_SET_COST": 0, "_CHUNK_COST": 0, "_CODEWORD_COST": 0, "_CHUNK": 7,
-    },
-    "walk": {"_SET_COST": float("inf")},
-    "walk, tiny chunks": {"_SET_COST": float("inf"), "_CHUNK": 7},
-}
+MODES = {"default": {}, "tiny chunks": {"_CHUNK": 7}}
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -84,8 +76,7 @@ def test_engine_matches_oracle(gen):
     d = min_weight_oracle(LinearCode(gen))
     for mode in MODES:
         r = engine(gen, mode)
-        assert (r.best, r.exact, r.bound) == (d, True, d), mode
-        assert r.stop in ("bound", "gray")
+        assert (r.best, r.exact, r.bound, r.stop) == (d, True, d, "bound"), mode
         # a budget of the run's own count completes; one less does not
         assert engine(gen, mode, budget=r.tried) == r, mode
         if r.tried > 1:
@@ -97,33 +88,68 @@ def test_engine_matches_oracle(gen):
 @example(K_ONE, 5, 1)
 @example(K_FULL, 2, 2)
 def test_engine_cutoff_and_budget(gen, t, budget):
-    # the cutoff decision is the Gray walk's; a budget-stopped run brackets d
-    gray = _gray_weight(gen, cutoff=t)
+    # the cutoff decides d >= t exactly; a budget-stopped run brackets d
     d = min_weight_oracle(LinearCode(gen))
     for mode in MODES:
         r = engine(gen, mode, cutoff=t)
-        assert (r.exact and r.best >= t) == (gray.exact and gray.best >= t) == (d >= t), mode
+        assert (r.exact and r.best >= t) == (d >= t), mode
         r = engine(gen, mode, budget=budget)
         assert r.bound <= d <= r.best and r.tried <= budget, mode
         assert r.exact == (r.best == d and r.stop != "budget"), mode
 
 
+@st.composite
+def high_rate_generators(draw):
+    """A scrambled full-rank k x n generator with 11 <= k <= 26, n <= 30
+    and n - k <= 8, beyond the oracle's direct enumeration."""
+    k = draw(st.integers(11, 26))
+    n = draw(st.integers(k + 1, min(30, k + 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
+    return scramble(rng, np.hstack([np.eye(k, dtype=np.uint8), a]))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(high_rate_generators())
+def test_engine_matches_oracle_at_high_rate(gen):
+    d = min_weight_oracle(LinearCode(gen))
+    r = _min_weight(gen)
+    assert (r.best, r.exact, r.bound, r.stop) == (d, True, d, "bound")
+
+
+def scrambled_standard(seed, n, k):
+    rng = np.random.default_rng(seed)
+    return LinearCode(scramble(rng, random_standard(rng, n, k).gen))
+
+
 @pytest.mark.parametrize(
     "code",
-    [elliptic_quadric_code(), random_standard(np.random.default_rng(26), 26, 13)],
-    ids=["[17,13] quadric", "[26,13]"],
+    [
+        elliptic_quadric_code(),
+        random_standard(np.random.default_rng(24), 24, 16),
+        scrambled_standard(30, 30, 22),
+    ],
+    ids=["[17,13] quadric", "[24,16]", "[30,22] scrambled"],
 )
-def test_engine_agrees_with_gray_walk(code):
+def test_engine_matches_oracle_beyond_k_10(code):
     r = _min_weight(code.gen)
     assert r.stop == "bound" and r.tried < 10**5
-    assert r.best == _gray_weight(code.gen).best
+    assert r.best == min_weight_oracle(code)
+
+
+def test_engine_known_answer_at_26_13():
+    # n - k = 13 is beyond the oracle; d = 6 was confirmed by enumerating
+    # one codeword of each of the (4^13 - 1)/3 projective classes
+    code = random_standard(np.random.default_rng(26), 26, 13)
+    r = _min_weight(code.gen)
+    assert (r.best, r.exact, r.stop) == (6, True, "bound") and r.tried < 10**5
 
 
 def test_stop_reasons():
     rng = np.random.default_rng(7)
     small = random_standard(rng, 12, 4)
     r = _min_weight(small.gen)
-    assert (r.stop, r.exact, r.bound) == ("gray", True, r.best)
+    assert (r.stop, r.exact, r.bound) == ("bound", True, r.best)
 
     code = random_standard(rng, 30, 12)
     r = _min_weight(code.gen)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hlcd4 import linalg
-from hlcd4.code import CodeSummary, LinearCode, _gray_weight, _light_min_weight
+from hlcd4.code import CodeSummary, LinearCode, _light_min_weight, _min_weight
 from hlcd4.errors import (
     ExhaustedRetriesError,
     NoPairExistsError,
@@ -85,13 +85,13 @@ def test_random_strategy_finds_and_is_deterministic():
 
 def _first_hit(config):
     """(candidates tried, generator) of the lowest-index hit, one candidate at
-    a time: draw, Gray-walk cutoff scan, LCD check; no blocks, no light test."""
+    a time: draw, engine cutoff scan, LCD check; no blocks, no light test."""
     n, k, target = config.n, config.k, config.target_d
     for index in range(config.budget):
         rng = np.random.default_rng([config.seed, index])
         a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
         gen = np.hstack([np.eye(k, dtype=np.uint8), a])
-        r = _gray_weight(gen, cutoff=target)
+        r = _min_weight(gen, cutoff=target)
         if r.exact and r.best >= target and LinearCode(gen).is_lcd():
             return index + 1, gen
     return config.budget, None
@@ -130,8 +130,8 @@ def test_random_strategy_target_one():
 
 
 def test_search_post_check_is_budgeted():
-    # the hit comes at once; its 18-dimensional dual is far too large for the
-    # Gray walk, but the engine gets its distance exactly within the budget
+    # the hit comes at once; its 18-dimensional dual has 4^18 codewords, but
+    # the engine gets its distance exactly within the budget
     r = search(SearchConfig(n=24, k=6, target_d=3, seed=1, budget=100))
     assert r.found is not None
     assert r.summary.is_lcd and r.summary.d >= 3
