@@ -10,8 +10,9 @@ its weight, so only messages whose first nonzero symbol is 1 are visited.
 Codewords are packed into two bit planes (low and high bit of each symbol) of
 W = ceil(n/64) machine words each; the weight is the popcount summed over the
 words.  One table of the packed rows' 1, w and w^2 multiples feeds both
-weight enumerators, at every length: the batched light test of search
-(messages of weight at most 3) and the engine.  The engine enumerates
+weight enumerators, at every length: the engine, and the batched light test
+of search, which runs the messages of weight 1, 2 and 3 in turn and drops
+the codes each part rejects before the next.  The engine enumerates
 messages by weight over several information sets (Brouwer-Zimmermann) and
 stops once a lower bound on the weight of every codeword not yet seen meets
 the best weight found; one loop applies that bound, the cutoff and the
@@ -333,63 +334,69 @@ def _row_multiples(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[..., :3], m[..., 1:]
 
 
-@functools.cache
-def _light_messages(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The projective messages of weight 1 to 3 on k rows, built once per k.
+# Elements one chunk of the light test gathers from its table, across the
+# codes still alive.
+_LIGHT_GATHER = 1 << 20
 
-    Returns (rows, weights).  ``rows`` is (3, N): each message is the sum of
-    three rows of a (3k + 1)-row table whose row 3i + f holds factor f
-    (1, w, w^2) times generator row i and whose last row is zero; the
-    leading factor is 1, one message per projective class.  ``weights`` is
-    the (N, 1) message weights.
+
+@functools.cache
+def _light_messages(k: int) -> tuple[np.ndarray, ...]:
+    """The projective messages of weight 1, 2 and 3 on k rows, built once per k.
+
+    One (v, N_v) array per message weight v: column j lists the v rows of a
+    3k-row table, whose row 3i + f holds factor f (1, w, w^2) times
+    generator row i, that sum to message j.  The leading factor is 1, so
+    there is one message per projective class.
     """
-    zero = 3 * k
     pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2)
     triples = np.array(list(itertools.combinations(range(k), 3)), dtype=np.intp).reshape(-1, 3)
     i2, j2 = (3 * pairs.T)[:, :, None]
     i3, j3, l3 = (3 * triples.T)[:, :, None, None]
     f = np.arange(3)
-    # The three table rows of each message, by message weight; broadcasting
-    # runs the factors of the second and third rows over 1, w, w^2.
-    by_weight = [
-        (3 * np.arange(k), zero, zero),
-        (i2, j2 + f, zero),
-        (i3, j3 + f[:, None], l3 + f),
-    ]
-    rows = np.concatenate(
-        [np.stack(np.broadcast_arrays(*msgs)).reshape(3, -1) for msgs in by_weight], axis=1
-    )
-    weights = (rows != zero).sum(axis=0).astype(np.uint8)[:, None]
+    # Broadcasting runs the factors of the second and third rows over 1, w, w^2.
+    layers = [(3 * np.arange(k),), (i2, j2 + f), (i3, j3 + f[:, None], l3 + f)]
+    out = tuple(np.stack(np.broadcast_arrays(*rows)).reshape(len(rows), -1) for rows in layers)
     # Cached and shared by every caller, so read-only.
-    rows.setflags(write=False)
-    weights.setflags(write=False)
-    return rows, weights
+    for rows in out:
+        rows.setflags(write=False)
+    return out
 
 
-def _light_min_weight(a: np.ndarray) -> np.ndarray:
-    """Minimum weight over messages of weight at most 3, for a batch of codes.
+def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
+    """The codes of a batch with no codeword of weight below ``target`` from
+    a message of weight at most 3, as ascending indices.
 
     Batch-first: ``a`` is the (B, k, n - k) A blocks of B standard-form
-    generators (I_k | A), of any length; returns the (B,) weights.  There
-    wt(mG) = wt(m) + wt(mA) >= wt(m), so every codeword of weight below 4
-    comes from a message of weight at most 3: each value decides d >= t
-    exactly for any threshold t <= 4, and is an upper bound on d in general.
+    generators (I_k | A), of any length.  There wt(mG) = wt(m) + wt(mA)
+    >= wt(m), so every codeword of weight below 4 comes from a message of
+    weight at most 3: the test decides d >= target exactly for target <= 4
+    and is a necessary condition above.  The layers run in order of message
+    weight v, only while v < target, in chunks of at most about
+    ``_LIGHT_GATHER`` gathered elements; after each chunk the codes it
+    rejected leave the batch, so most codes see only the first layers.
     """
     batch, k, m = a.shape
-    rows, weights = _light_messages(k)
     # Only the A columns are combined; the identity part contributes the
     # message weight.  Row 3i + f of the table holds both planes of f times
     # row i, batch on the last axis, so every gather below copies whole rows.
     rows0, rows1 = _row_multiples(a)
     words = rows0.shape[1]
-    table = np.zeros((3 * k + 1, 2, words, batch), dtype=rows0.dtype)
-    table[:-1] = np.stack([rows0, rows1]).transpose(3, 4, 0, 2, 1).reshape(3 * k, 2, words, batch)
-    c = np.take(table, rows[0], axis=0)
-    c ^= np.take(table, rows[1], axis=0)
-    c ^= np.take(table, rows[2], axis=0)
-    # Summed over the words in a type that holds every weight up to m + 3.
-    counts = np.bitwise_count(c[:, 0] | c[:, 1]).sum(axis=1, dtype=np.min_scalar_type(m + 3))
-    return (counts + weights).min(axis=0)
+    table = np.stack([rows0, rows1]).transpose(3, 4, 0, 2, 1).reshape(3 * k, 2, words, batch)
+    alive = np.arange(batch)
+    # Summed over the words in a type that holds every weight up to m.
+    count_type = np.min_scalar_type(m)
+    for v, msgs in enumerate(_light_messages(k)[: target - 1], 1):
+        lo = 0
+        while lo < msgs.shape[1] and alive.size:
+            hi = lo + max(1, _LIGHT_GATHER // table[0].size)
+            c = table[msgs[0, lo:hi]]
+            for rows in msgs[1:, lo:hi]:
+                c ^= table[rows]
+            low = np.bitwise_count(c[:, 0] | c[:, 1]).sum(axis=1, dtype=count_type).min(axis=0)
+            ok = low >= target - v
+            alive, table = alive[ok], table[..., ok]
+            lo = hi
+    return alive
 
 
 # ---------------------------------------------------------------------------

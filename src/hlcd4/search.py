@@ -8,14 +8,14 @@ target.  Candidate i's A is numpy's ``default_rng([seed, i]).integers(0, 4,
 size=(k, n - k), dtype=uint8)``, reproduced for about a thousand
 consecutive indices at once (``_candidate_block``: the SeedSequence hash,
 PCG64 seeding and XSL-RR outputs on arrays of lanes) and checked against
-numpy in the tests.  The drawn candidates are tested in blocks of B
-consecutive indices (B from k alone, at most 64); one vectorised light
-weight test, over messages of weight at most 3, covers the whole block at
-any length, and only its survivors, in index order, take the weight check
-(for targets above 4) and the LCD check.  The result is therefore the
-lowest hit index, a pure function of (seed, index) that depends on neither
-block size.  The light test and the engine behind the weight check read
-one packed row-multiples table (``code._row_multiples``), at every length.
+numpy in the tests.  One vectorised light weight test, over messages of
+weight at most 3, covers the whole block of drawn candidates at any length;
+it tests one message weight at a time and drops the candidates each part
+rejects.  Only its survivors, in index order, take the weight check (for
+targets above 4) and the LCD check.  The result is therefore the lowest hit
+index, a pure function of (seed, index) that does not depend on the block
+size.  The light test and the engine behind the weight check read one
+packed row-multiples table (``code._row_multiples``), at every length.
 ``SearchConfig.threads`` is accepted and ignored: search is serial.
 
 AXY_NEIGHBORHOOD hill-climbs from an LCD base code using the two-vector
@@ -43,7 +43,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, product
-from math import comb
 from typing import Iterable, Optional
 
 import numpy as np
@@ -53,7 +52,7 @@ from .code import (
     _DEFAULT_BUDGET,
     CodeSummary,
     LinearCode,
-    _light_min_weight,
+    _light_survivors,
     _min_weight,
 )
 from .errors import ExhaustedRetriesError, NoPairExistsError, PreconditionError
@@ -108,8 +107,8 @@ def _candidate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-# Random search draws streams for this many consecutive candidate indices
-# at once (rounded to whole light-test blocks).
+# Random search draws and light-tests this many consecutive candidate
+# indices at once.
 _LANES = 1024
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq mixing).
@@ -289,38 +288,24 @@ def _exact_weight_at_least(code: LinearCode, target: int) -> Optional[int]:
     return None
 
 
-def _block_size(k: int) -> int:
-    """Candidates per light-test block, from k alone: 64, or fewer where the
-    block's B * 9 C(k,3) weight-3 messages would pass 2^15; never below 1."""
-    return min(max(2**15 // max(1, 9 * comb(k, 3)), 1), 64)
-
-
 def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
     n, k, target = config.n, config.k, config.target_d
-    size = _block_size(k)
-    lanes = max(_LANES // size, 1) * size
-    drawn = np.empty((lanes, k, n), dtype=np.uint8)
+    drawn = np.empty((_LANES, k, n), dtype=np.uint8)
     drawn[:, :, :k] = linalg.identity(k)
-    for first in range(0, config.budget, lanes):
-        last = min(first + lanes, config.budget)
-        drawn[: last - first, :, k:] = _candidate_block(
-            config.seed, first, last - first, k, n - k
-        )
-        for start in range(first, last, size):
-            gens = drawn[start - first : min(start + size, last) - first]
-            # The light test rejects most candidates and fully decides
-            # d >= target when target <= 4; above that its survivors take
-            # the engine.
-            survivors = np.flatnonzero(_light_min_weight(gens[:, :, k:]) >= target)
-            for j in survivors:
-                gen = gens[j]
-                if target > 4:
-                    r = _min_weight(gen, cutoff=target)
-                    if not (r.exact and r.best >= target):
-                        continue
-                code = LinearCode(gen)
-                if code.is_lcd():
-                    return code, start + int(j) + 1
+    for first in range(0, config.budget, _LANES):
+        count = min(_LANES, config.budget - first)
+        drawn[:count, :, k:] = _candidate_block(config.seed, first, count, k, n - k)
+        # The light test rejects most candidates and fully decides d >= target
+        # when target <= 4; above that its survivors take the engine.
+        for j in _light_survivors(drawn[:count, :, k:], target):
+            gen = drawn[j]
+            if target > 4:
+                r = _min_weight(gen, cutoff=target)
+                if not (r.exact and r.best >= target):
+                    continue
+            code = LinearCode(gen)
+            if code.is_lcd():
+                return code, first + int(j) + 1
     return None, config.budget
 
 
@@ -345,7 +330,6 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         return random_lcd(config.n, config.k, _candidate_rng(config.seed, index))
 
     current = fresh(0)
-    hull = current.hull_dim()
     current_d = current.min_weight()
     plateau = 0
     index = 0
@@ -354,9 +338,9 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         rng = _candidate_rng(config.seed, index)
         pair = sample_isotropic_pair(config.n - config.k, rng)
         candidate = axy_construct(current, pair)
-        if candidate.hull_dim() != hull:
-            raise AssertionError("two-vector update changed the hull dimension")
-        rejected = _light_min_weight(candidate.gen[None, :, config.k :])[0] < current_d
+        if not np.array_equal(candidate.gram, current.gram):
+            raise AssertionError("two-vector update changed the Gram matrix")
+        rejected = not _light_survivors(candidate.gen[None, :, config.k :], current_d).size
         d = None if rejected else _exact_weight_at_least(candidate, current_d)
         if d is not None and d > current_d:
             current, current_d, plateau = candidate, d, 0

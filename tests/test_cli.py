@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlcd4 import cli, linalg
 from hlcd4.code import LinearCode
@@ -44,6 +46,27 @@ def test_parse_zero_code_emission():
     assert "zero code" in text
     with pytest.raises(CodeFileError):
         cli.parse_code_file(text)  # no rows to parse
+
+
+# Text over the format's symbols, whitespace, comment marks and every line
+# separator that str.splitlines knows, where many inputs parse; and
+# arbitrary text, where few do.
+_CODE_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(list("01wW #\t\xa0\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))),
+    st.text(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_CODE_TEXT)
+def test_parse_raises_only_format_errors(text):
+    # any text parses to a code that reads back from its own emission, or
+    # raises one of the two documented errors
+    try:
+        code = cli.parse_code_file(text)
+    except (CodeFileError, RankDeficientError):
+        return
+    assert cli.parse_code_file(cli.emit_code_file(code.gen)) == code
 
 
 def test_parse_errors_carry_location():

@@ -1,13 +1,16 @@
 """LinearCode: duals, hulls, minimum weight, and their oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from hlcd4 import code as code_mod
 from hlcd4 import linalg
 from hlcd4.code import (
     CodeSummary,
     LinearCode,
-    _light_min_weight,
+    _light_survivors,
     _macwilliams,
     _min_weight,
     _weight_distribution,
@@ -15,6 +18,7 @@ from hlcd4.code import (
     min_weight_oracle,
 )
 from hlcd4.errors import BudgetExceededError, RankDeficientError, TooLargeError
+from hlcd4.gf4 import MUL
 
 from conftest import random_code, random_standard
 
@@ -181,29 +185,48 @@ def test_weight_distribution_and_macwilliams(rng):
         assert _macwilliams(_weight_distribution(c.hermitian_dual().gen), n) == counts
 
 
-def test_light_min_weight_bounds(rng):
-    # the batched light scan on A blocks, row by row: exact below 4 and a
-    # valid upper bound in general; blocks of 1 to 5 codes, with k in
-    # {1, 2, 3} at n = 4 and 64 and past one word, and an empty A at
-    # k = n = 4; each also with most A columns zeroed so that low weights
-    # occur at every length
-    shapes = [(int(rng.integers(6, 20)), None) for _ in range(40)]
-    shapes += [(n, k) for n in (4, 64, 65, 70, 129) for k in (1, 2, 3)] + [(4, 4)]
-    for n, k in shapes:
+def _light_reference(a: np.ndarray) -> np.ndarray:
+    """Minimum of wt(m) + wt(mA) over the messages m of weight 1 to 3, per
+    code of the (B, k, m) batch; every message, by itertools and MUL."""
+    batch, k, _ = a.shape
+    best = np.full(batch, np.iinfo(np.int64).max)
+    for v in (1, 2, 3):
+        for rows in itertools.combinations(range(k), v):
+            for factors in itertools.product((1, 2, 3), repeat=v):
+                word = np.zeros((batch, a.shape[2]), dtype=np.uint8)
+                for i, f in zip(rows, factors):
+                    word ^= MUL[f, a[:, i]]
+                best = np.minimum(best, v + np.count_nonzero(word, axis=1))
+    return best
+
+
+def test_light_survivors_match_reference(rng, monkeypatch):
+    # the layered light test against every message of weight at most 3, for
+    # targets 1 to 7; exact against min_weight for targets up to 4.  Batches
+    # of 1 to 5 codes, k in {1, 2, 3} at n = 4, 64 and past one word, an
+    # empty A at k = n = 4, each also with most A columns zeroed so that low
+    # weights occur at every length; then one batch of 60 with a gather cap
+    # small enough to split every layer into several chunks
+    shapes = [(int(rng.integers(6, 20)), None, None) for _ in range(30)]
+    shapes += [(n, k, None) for n in (4, 64, 65, 70, 129) for k in (1, 2, 3)] + [(4, 4, None)]
+    shapes += [(12, 6, 60), (70, 5, 60)]
+    for n, k, size in shapes:
         if k is None:
             k = int(rng.integers(1, min(n - 1, 9) + 1))
+        if size:
+            monkeypatch.setattr(code_mod, "_LIGHT_GATHER", 200)
         for zeroed in (0.0, 0.9):
-            a = rng.integers(0, 4, size=(int(rng.integers(1, 6)), k, n - k), dtype=np.uint8)
+            batch = size or int(rng.integers(1, 6))
+            a = rng.integers(0, 4, size=(batch, k, n - k), dtype=np.uint8)
             a[:, :, rng.random(n - k) < zeroed] = 0
-            light = _light_min_weight(a)
-            assert light.shape == (len(a),)
-            for rows, w in zip(a, light):
-                d = LinearCode(np.hstack([linalg.identity(k), rows])).min_weight()
-                assert d <= w
-                if w <= 3:
-                    assert d == w
-                else:
-                    assert d >= 4
+            light = _light_reference(a)
+            d = [LinearCode(np.hstack([linalg.identity(k), rows])).min_weight() for rows in a]
+            for target in range(1, 8):
+                survivors = _light_survivors(a, target)
+                assert survivors.tolist() == np.flatnonzero(light >= target).tolist()
+                assert (np.diff(survivors) > 0).all()
+                if target <= 4:
+                    assert survivors.tolist() == [i for i, w in enumerate(d) if w >= target]
 
 
 def test_scan_handles_n_above_64(rng, monkeypatch):

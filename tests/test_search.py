@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hlcd4 import linalg
-from hlcd4.code import CodeSummary, LinearCode, _light_min_weight, _min_weight
+from hlcd4.code import CodeSummary, LinearCode, _light_survivors, _min_weight
 from hlcd4.errors import (
     ExhaustedRetriesError,
     NoPairExistsError,
@@ -21,7 +21,6 @@ from hlcd4.search import (
     Strategy,
     VerifyStatus,
     _LANES,
-    _block_size,
     elliptic_quadric_code,
     random_lcd,
     sample_isotropic_pair,
@@ -101,18 +100,17 @@ def _first_hit(config):
     "n, k, target, seed",
     [
         (12, 6, 5, 34),  # target above 4: light test, then cutoff scan; hit at 120
-        (16, 10, 4, 9),  # the light test decides; 30 per block, hit at 32
+        (16, 10, 4, 9),  # the light test decides; hit at 32
         (65, 3, 46, 1),  # two words: light test, then cutoff scan; hit at 74
         (70, 5, 4, 2),  # two words, target <= 4: the light test decides; hit at 2
         (8, 4, 6, 1),  # above the Singleton bound: every budget runs out
         (13, 7, 5, 1),  # hit at 1220, past the first block of streams
+        (27, 17, 6, 5),  # k >= 17, target above 4; hit at 1615, second block
     ],
 )
 def test_random_search_matches_candidate_loop(n, k, target, seed):
-    size = _block_size(k)
-    # budgets around the light-test block and the block of drawn streams
-    budgets = (1, size - 1, size, size + 1, 2 * size + 3,
-               _LANES - 1, _LANES, _LANES + 1, 3 * _LANES)
+    # budgets around the block of drawn and light-tested streams
+    budgets = (1, 2, _LANES - 1, _LANES, _LANES + 1, 3 * _LANES)
     hit, gen = _first_hit(SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=budgets[-1]))
     for budget in budgets:
         r = search(SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=budget))
@@ -136,9 +134,12 @@ def test_search_post_check_is_budgeted():
     assert r.found is not None
     assert r.summary.is_lcd and r.summary.d >= 3
     assert r.summary.d_dual_exact and r.summary.d_dual == 3
-    # the light test is exact below 4 on the dual's standard form
+    # the light test is exact below 4 on the dual's standard form: the dual
+    # passes at target 3 and fails at target 4
     dual = linalg.standard_form(r.found.hermitian_dual().gen).matrix
-    assert _light_min_weight(dual[None, :, len(dual) :])[0] == 3
+    a = dual[None, :, len(dual) :]
+    assert _light_survivors(a, 3).tolist() == [0]
+    assert _light_survivors(a, 4).size == 0
 
 
 def test_budget_exhaustion_returns_no_find():
