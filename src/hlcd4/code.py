@@ -12,10 +12,10 @@ W = ceil(n/64) machine words each; the weight is the popcount summed over the
 words.  One table of the packed rows' 1, w and w^2 multiples feeds both
 weight enumerators, at every length: the engine, and the batched light test
 of search, which runs the messages of weight 1, 2 and 3 in turn and drops
-the codes each part rejects before the next.  The engine enumerates
-messages by weight over several information sets (Brouwer-Zimmermann) and
-stops once a lower bound on the weight of every codeword not yet seen meets
-the best weight found; one loop applies that bound, the cutoff and the
+the codes each part rejects before the next.  The engine, ``_min_weight``,
+is one loop: it enumerates messages by weight over several information sets
+(Brouwer-Zimmermann) and stops once a lower bound on the weight of every
+codeword not yet seen meets the best weight found, at the cutoff, or at the
 enumeration budget, which counts the codewords enumerated.  An independent
 oracle counts the weight of every codeword from scratch, of the code itself
 for k <= 10 or of its Hermitian dual for n - k <= 10 (then transformed by the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -445,12 +445,9 @@ class _InfoSet:
     rows1: np.ndarray
     # The kept layer: codewords of every message of weight ``kept``, grouped
     # by the message's last row, as (W, N) planes; at first the rows.
+    layer0: np.ndarray
+    layer1: np.ndarray
     kept: int = 1
-    layer0: np.ndarray = field(init=False)
-    layer1: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.layer0, self.layer1 = self.rows0[:, :, 0], self.rows1[:, :, 0]
 
 
 def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
@@ -464,8 +461,8 @@ def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
         fresh = [order[p] for p in pivots if p < len(unused)]
         if not fresh:
             break
-        redundant = np.delete(reduced, pivots, axis=1)
-        sets.append(_InfoSet(k - len(fresh), *_row_multiples(redundant)))
+        rows0, rows1 = _row_multiples(np.delete(reduced, pivots, axis=1))
+        sets.append(_InfoSet(k - len(fresh), rows0, rows1, rows0[:, :, 0], rows1[:, :, 0]))
         used += fresh
         unused = [c for c in unused if c not in fresh]
     return sets
@@ -476,7 +473,7 @@ def _layer_size(k: int, v: int) -> int:
     return comb(k, v) * 3 ** (v - 1)
 
 
-def _layer_chunks(s: _InfoSet, v: int):
+def _layer_weights(s: _InfoSet, v: int):
     """The weights of the codewords of every weight-v message on set ``s``,
     in chunks of at most ``_CHUNK``.
 
@@ -485,36 +482,18 @@ def _layer_chunks(s: _InfoSet, v: int):
     which take every coefficient; kept codewords whose rows all precede row
     l form a prefix of the layer, C(l, kept) 3^(kept - 1) long.  With
     t = 1 the chunks come out grouped by last row, so a layer of at most one
-    chunk becomes the kept layer once it has been enumerated.
+    chunk becomes the kept layer once it has been enumerated.  At v = 1 the
+    kept layer is the whole message: t = 0 and the tail is the zero word.
     """
     words, k, _ = s.rows0.shape
     keep = s.kept == v - 1 and _layer_size(k, v) <= _CHUNK
-    kept = []
-    for c0, c1 in _layer_planes(s, v):
-        counts = np.bitwise_count(c0 | c1)
-        counts = counts[0] if words == 1 else counts.sum(axis=0, dtype=np.intp)
-        # The message's own v nonzeros, in a type that cannot wrap.
-        yield counts + np.intp(v)
-        if keep:
-            kept.append((c0, c1))
-    if keep:
-        s.kept = v
-        s.layer0 = np.concatenate([c[0] for c in kept], axis=1)
-        s.layer1 = np.concatenate([c[1] for c in kept], axis=1)
-
-
-def _layer_planes(s: _InfoSet, v: int):
-    """The (W, N) planes of the redundant columns behind ``_layer_chunks``."""
-    words, k, _ = s.rows0.shape
-    if v == 1:
-        yield s.layer0, s.layer1
-        return
-    base = s.kept
-    for tail in itertools.combinations(range(k), v - base):
-        size = _layer_size(tail[0], base)
+    kept0, kept1 = [], []
+    zero = np.zeros((words, 1), dtype=s.rows0.dtype)
+    for tail in itertools.combinations(range(k), v - s.kept):
+        size = _layer_size(tail[0] if tail else k, s.kept)
         if not size:
             continue
-        t0, t1 = s.rows0[:, tail[0]], s.rows1[:, tail[0]]
+        t0, t1 = (s.rows0[:, tail[0]], s.rows1[:, tail[0]]) if tail else (zero, zero)
         for i in tail[1:]:
             t0 = (t0[:, :, None] ^ s.rows0[:, i, None]).reshape(words, -1)
             t1 = (t1[:, :, None] ^ s.rows1[:, i, None]).reshape(words, -1)
@@ -522,10 +501,18 @@ def _layer_planes(s: _InfoSet, v: int):
         step = max(1, _CHUNK // t0.shape[1])
         for lo in range(0, size, step):
             hi = min(lo + step, size)
-            yield (
-                (t0[:, :, None] ^ s.layer0[:, None, lo:hi]).reshape(words, -1),
-                (t1[:, :, None] ^ s.layer1[:, None, lo:hi]).reshape(words, -1),
-            )
+            c0 = (t0[:, :, None] ^ s.layer0[:, None, lo:hi]).reshape(words, -1)
+            c1 = (t1[:, :, None] ^ s.layer1[:, None, lo:hi]).reshape(words, -1)
+            # Summed over the words, plus the message's own v nonzeros, in a
+            # type that cannot wrap.
+            yield np.bitwise_count(c0 | c1).sum(axis=0, dtype=np.intp) + v
+            if keep:
+                kept0.append(c0)
+                kept1.append(c1)
+    if keep:
+        s.kept = v
+        s.layer0 = np.concatenate(kept0, axis=1)
+        s.layer1 = np.concatenate(kept1, axis=1)
 
 
 def _schedule(k: int, deficits: list[int]):
@@ -547,28 +534,23 @@ def _schedule(k: int, deficits: list[int]):
                 bound += done[j] >= deficit
 
 
-def _set_layers(gen: np.ndarray):
-    """The information-set enumeration as ``_enumerate`` layers, one per
-    (set, message weight) step, each with the lower bound it starts from."""
+def _min_weight(
+    gen: np.ndarray,
+    cutoff: Optional[int] = None,
+    budget: Optional[int] = None,
+) -> _Weight:
+    """Minimum weight of the code spanned by a full-rank generator.
+
+    Information-set codewords are enumerated by message weight, one
+    ``_schedule`` step at a time.  The enumeration stops, exact, once the
+    step's lower bound meets the best weight seen or a codeword at or below
+    the bound turns up; not exact, at the first codeword below ``cutoff``,
+    or once ``budget`` codewords have been enumerated.  Codewords count as
+    they are enumerated, so a budget of the unbounded run's ``tried``
+    completes.
+    """
     sets = _information_sets(gen)
     k, n = gen.shape
-    for j, v, bound in _schedule(k, [s.deficit for s in sets]):
-        yield bound, _layer_chunks(sets[j], v)
-    # Set 0 has enumerated every message: nothing is left unseen.
-    yield n + 1, ()
-
-
-def _enumerate(layers, n: int, cutoff: Optional[int], budget: Optional[int]) -> _Weight:
-    """The enumeration loop, and every rule that stops it.
-
-    ``layers`` yields (bound, chunks): ``bound`` is a lower bound on the
-    weight of every codeword not enumerated before the layer, and
-    ``chunks`` yields the weights of the layer's codewords in arrays.  The
-    loop stops, exact, once the bound meets the best weight seen or a
-    codeword at or below the bound turns up; not exact, at the first
-    codeword below ``cutoff``, or once ``budget`` codewords have been
-    counted.  The last layer's bound, n + 1, meets every best weight.
-    """
     best, tried, bound = n + 1, 0, 0
 
     def result(exact, stop):
@@ -576,12 +558,12 @@ def _enumerate(layers, n: int, cutoff: Optional[int], budget: Optional[int]) -> 
         # ones at least ``best``: the distance is at least the smaller.
         return _Weight(best, exact, tried, best if exact else min(max(bound, 1), best), stop)
 
-    for bound, chunks in layers:
+    for j, v, bound in _schedule(k, [s.deficit for s in sets]):
         if bound >= best:
             return result(True, "bound")
         # A codeword at or below ``limit`` ends the enumeration.
         limit = bound if cutoff is None else max(bound, cutoff - 1)
-        for weights in chunks:
+        for weights in _layer_weights(sets[j], v):
             whole = len(weights)
             if budget is not None:
                 if tried >= budget:
@@ -600,19 +582,5 @@ def _enumerate(layers, n: int, cutoff: Optional[int], budget: Optional[int]) -> 
             best = min(best, low)
             if len(weights) < whole:
                 return result(False, "budget")
-
-
-def _min_weight(
-    gen: np.ndarray,
-    cutoff: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> _Weight:
-    """Minimum weight of the code spanned by a full-rank generator.
-
-    Information-set codewords are enumerated by message weight until the
-    lower bound meets the best weight seen (exact), or, not exact, until the
-    best weight falls below ``cutoff`` or ``budget`` codewords have been
-    enumerated; codewords count as they are enumerated, so a budget of the
-    unbounded run's ``tried`` completes.
-    """
-    return _enumerate(_set_layers(gen), gen.shape[1], cutoff, budget)
+    # Set 0 has enumerated every message: nothing is left unseen.
+    return result(True, "bound")

@@ -280,9 +280,9 @@ def sample_isotropic_pair(length: int, rng) -> IsotropicPair:
     raise ExhaustedRetriesError("could not sample y orthogonal to x")
 
 
-def _exact_weight_at_least(code: LinearCode, target: int) -> Optional[int]:
+def _exact_weight_at_least(gen: np.ndarray, target: int) -> Optional[int]:
     """Exact minimum weight if it is >= target, else None (early abort)."""
-    r = _min_weight(code.gen, cutoff=target)
+    r = _min_weight(gen, cutoff=target)
     if r.exact and r.best >= target:
         return r.best
     return None
@@ -290,19 +290,14 @@ def _exact_weight_at_least(code: LinearCode, target: int) -> Optional[int]:
 
 def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
     n, k, target = config.n, config.k, config.target_d
-    drawn = np.empty((_LANES, k, n), dtype=np.uint8)
-    drawn[:, :, :k] = linalg.identity(k)
     for first in range(0, config.budget, _LANES):
-        count = min(_LANES, config.budget - first)
-        drawn[:count, :, k:] = _candidate_block(config.seed, first, count, k, n - k)
+        a = _candidate_block(config.seed, first, min(_LANES, config.budget - first), k, n - k)
         # The light test rejects most candidates and fully decides d >= target
         # when target <= 4; above that its survivors take the engine.
-        for j in _light_survivors(drawn[:count, :, k:], target):
-            gen = drawn[j]
-            if target > 4:
-                r = _min_weight(gen, cutoff=target)
-                if not (r.exact and r.best >= target):
-                    continue
+        for j in _light_survivors(a, target):
+            gen = np.hstack([linalg.identity(k), a[j]])
+            if target > 4 and _exact_weight_at_least(gen, target) is None:
+                continue
             code = LinearCode(gen)
             if code.is_lcd():
                 return code, first + int(j) + 1
@@ -341,7 +336,7 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         if not np.array_equal(candidate.gram, current.gram):
             raise AssertionError("two-vector update changed the Gram matrix")
         rejected = not _light_survivors(candidate.gen[None, :, config.k :], current_d).size
-        d = None if rejected else _exact_weight_at_least(candidate, current_d)
+        d = None if rejected else _exact_weight_at_least(candidate.gen, current_d)
         if d is not None and d > current_d:
             current, current_d, plateau = candidate, d, 0
         elif d is not None:
@@ -373,7 +368,7 @@ def _search_puncture_shorten(config: SearchConfig) -> tuple[Optional[LinearCode]
         if (
             (candidate.n, candidate.k) == (config.n, config.k)
             and candidate.is_lcd()
-            and _exact_weight_at_least(candidate, config.target_d) is not None
+            and _exact_weight_at_least(candidate.gen, config.target_d) is not None
         ):
             return candidate, tried
     return None, min(config.budget, 2 * base.n)

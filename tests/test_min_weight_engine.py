@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hlcd4.code import LinearCode, _min_weight, min_weight_oracle
 from hlcd4.gf4 import MUL
-from hlcd4.search import elliptic_quadric_code
+from hlcd4.search import elliptic_quadric_code, random_lcd
 
 from conftest import random_standard, scramble
 
@@ -161,3 +161,35 @@ def test_stop_reasons():
 
     r = _min_weight(code.gen, budget=_min_weight(code.gen).tried - 1)
     assert (r.stop, r.exact) == ("budget", False) and r.bound <= d <= r.best
+
+
+QUADRIC = elliptic_quadric_code().gen
+
+
+@pytest.mark.parametrize(
+    "gen, kwargs, expected",
+    [
+        (QUADRIC, {}, (4, True, 2821, 4, "bound")),
+        (random_lcd(30, 15, 1).gen, {}, (8, True, 8850, 8, "bound")),
+        (random_lcd(30, 10, 1).hermitian_dual().gen, {}, (4, True, 10850, 4, "bound")),
+        (QUADRIC, {"cutoff": 5}, (4, False, 1, 1, "cutoff")),
+        (QUADRIC, {"budget": 100}, (4, False, 100, 2, "budget")),
+        # These two stop inside a layer whose order depends on the kept-layer
+        # rule, and on when a partial set catches up.
+        (random_lcd(26, 13, 1).hermitian_dual().gen, {}, (6, True, 2379, 6, "bound")),
+        (random_lcd(30, 15, 2).gen, {"cutoff": 9}, (8, False, 149, 3, "cutoff")),
+    ],
+    ids=[
+        "quadric",
+        "[30,15]",
+        "dual of [30,10]",
+        "quadric cutoff",
+        "quadric budget",
+        "dual of [26,13]",
+        "[30,15] seed 2 cutoff",
+    ],
+)
+def test_engine_pinned_weights(gen, kwargs, expected):
+    # Every field, ``tried`` included, so the order in which the engine
+    # enumerates codewords and where it stops stay fixed.
+    assert _min_weight(gen, **kwargs) == expected
