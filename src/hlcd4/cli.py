@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, linalg
 from .code import _DEFAULT_BUDGET, CodeSummary, LinearCode
-from .errors import CodeFileError, Hlcd4Error
+from .errors import CodeFileError, Hlcd4Error, RankDeficientError
 from .gf4 import from_symbols, to_symbols
 from .search import SearchConfig, Strategy, VerifyStatus, search, verify_bounds
 from .tables import BoundsTable
@@ -65,11 +65,7 @@ def parse_code_file(text: str) -> LinearCode:
             if ch.isspace():
                 continue
             if ch not in _SYMBOL_SET:
-                raise CodeFileError(
-                    f"invalid symbol {ch!r} at line {lineno}, column {col}",
-                    line=lineno,
-                    column=col,
-                )
+                raise CodeFileError(f"invalid symbol {ch!r}", line=lineno, column=col)
             symbols.append(ch)
         rows.append(from_symbols("".join(symbols)))
         row_lines.append(lineno)
@@ -78,9 +74,7 @@ def parse_code_file(text: str) -> LinearCode:
     n = len(rows[0])
     for r, lineno in zip(rows, row_lines):
         if len(r) != n:
-            raise CodeFileError(
-                f"line {lineno} has {len(r)} symbols, expected {n}", line=lineno
-            )
+            raise CodeFileError(f"row has {len(r)} symbols, expected {n}", line=lineno)
     return LinearCode(np.vstack(rows))
 
 
@@ -259,7 +253,12 @@ def _cmd_verify_table(args) -> int:
     for path in sorted(results_dir.iterdir()):
         if not path.is_file() or path.name.startswith("."):
             continue
-        code = parse_code_file(path.read_text(encoding="utf-8"))
+        try:
+            code = parse_code_file(path.read_text(encoding="utf-8"))
+        except (CodeFileError, RankDeficientError) as e:
+            # One file of many: the error report names it.
+            e.file = e.fields["file"] = path.name
+            raise
         summaries.append(code.summarize(budget=budget))
         names.append(path.name)
     records = verify_bounds(summaries, table)

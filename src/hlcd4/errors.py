@@ -30,16 +30,20 @@ class NotStandardFormError(Hlcd4Error):
     """A generator matrix was required in the shape (I_k | A) but is not."""
 
 
-class ZeroVectorError(Hlcd4Error):
-    """A vector that must be nonzero is the zero vector."""
-
-
 class IsotropyError(Hlcd4Error):
     """A vector pair violates the self/mutual-orthogonality hypothesis.
 
     Carries the offending inner products as the fields ``xx``, ``yy`` and
     ``xy``, so callers can report which of (x,x)_h, (y,y)_h, (x,y)_h is
     nonzero.
+    """
+
+
+class ZeroVectorError(IsotropyError):
+    """A vector of an isotropic pair is the zero vector.
+
+    Carries the pair's inner products ``xx``, ``yy`` and ``xy`` like any
+    IsotropyError.
     """
 
 

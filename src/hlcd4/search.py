@@ -18,11 +18,18 @@ size.  The light test and the engine behind the weight check read one
 packed row-multiples table (``code._row_multiples``), at every length.
 ``SearchConfig.threads`` is accepted and ignored: search is serial.
 
-AXY_NEIGHBORHOOD hill-climbs from an LCD base code using the two-vector
-update: sample an isotropic pair, apply the update, accept moves that
-improve or tie the minimum weight (ties up to a plateau cap).  The update
-preserves the Gram matrix, so every visited code is LCD; this is asserted
-at each step.
+AXY_NEIGHBORHOOD hill-climbs from an LCD code (I_k | A) using the
+two-vector update: sample an isotropic pair, update A, accept moves that
+improve or tie the minimum weight (ties up to a plateau cap).  The climb
+holds only the A block and its Gram matrix A conj(A)^T; the generator's Gram
+matrix is I + A conj(A)^T, which the update preserves, so every visited code
+is LCD, and each step asserts that the Gram block is unchanged.  A move is
+light-tested on A and only its survivors are assembled into (I_k | A) for
+the engine; a ``LinearCode`` is built only for the code returned.  A base
+code is first put into standard form (``linalg.standard_form``), which may
+permute its columns: the climb runs in, and returns, that form's column
+order, so the result can be a column-permuted copy of the base even when no
+step is taken.
 
 PUNCTURE_SHORTEN walks the coordinates of a longer base code and collects
 the one-coordinate derivatives (punctured and shortened) that are LCD,
@@ -58,7 +65,7 @@ from .code import (
 from .errors import ExhaustedRetriesError, NoPairExistsError, PreconditionError
 from .gf4 import hermitian_inner, weight
 from .tables import BoundsTable
-from .transform import IsotropicPair, axy_construct, puncture, shorten
+from .transform import IsotropicPair, _axy_update, puncture, shorten
 
 _RETRY_CAP = 10000
 # Sideways moves the axy climb makes on one plateau before it restarts.
@@ -305,51 +312,52 @@ def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
 
 
 def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
-    if config.k >= config.n:
+    n, k = config.n, config.k
+    if k >= n:
         raise PreconditionError("the update needs k < n")
     if config.base is not None:
         base = config.base
-        if (base.n, base.k) != (config.n, config.k):
-            raise PreconditionError(
-                f"base is [{base.n},{base.k}], expected [{config.n},{config.k}]"
-            )
+        if (base.n, base.k) != (n, k):
+            raise PreconditionError(f"base is [{base.n},{base.k}], expected [{n},{k}]")
         if not base.is_lcd():
             raise PreconditionError("base code is not LCD")
-        start = LinearCode(linalg.standard_form(base.gen).matrix)
+        start = linalg.standard_form(base.gen).matrix[:, k:]
     else:
         start = None
+    eye = linalg.identity(k)
 
-    def fresh(index: int) -> LinearCode:
-        if start is not None:
-            return start
-        return random_lcd(config.n, config.k, _candidate_rng(config.seed, index))
+    def fresh(index: int):
+        # The climb holds the A block of (I_k | A) and its Gram block; the
+        # generator's Gram matrix is I + A conj(A)^T.
+        a = start
+        if a is None:
+            a = random_lcd(n, k, _candidate_rng(config.seed, index)).gen[:, k:]
+        return a, linalg.gram(a), _min_weight(np.hstack([eye, a])).best
 
-    current = fresh(0)
-    current_d = current.min_weight()
+    a, gram, current_d = fresh(0)
     plateau = 0
     index = 0
     while current_d < config.target_d and index < config.budget:
         index += 1
-        rng = _candidate_rng(config.seed, index)
-        pair = sample_isotropic_pair(config.n - config.k, rng)
-        candidate = axy_construct(current, pair)
-        if not np.array_equal(candidate.gram, current.gram):
+        pair = sample_isotropic_pair(n - k, _candidate_rng(config.seed, index))
+        moved = _axy_update(a, pair)
+        if not np.array_equal(linalg.gram(moved), gram):
             raise AssertionError("two-vector update changed the Gram matrix")
-        rejected = not _light_survivors(candidate.gen[None, :, config.k :], current_d).size
-        d = None if rejected else _exact_weight_at_least(candidate.gen, current_d)
+        rejected = not _light_survivors(moved[None], current_d).size
+        d = None if rejected else _exact_weight_at_least(np.hstack([eye, moved]), current_d)
         if d is not None and d > current_d:
-            current, current_d, plateau = candidate, d, 0
+            a, current_d, plateau = moved, d, 0
         elif d is not None:
             # Sideways move: wander the plateau, up to the cap, then
             # restart the climb from a fresh draw (budget permitting).
             plateau += 1
-            current = candidate
+            a = moved
         if plateau > _PLATEAU_CAP and index < config.budget:
             index += 1
-            current = fresh(index)
-            current_d = current.min_weight()
+            a, gram, current_d = fresh(index)
             plateau = 0
-    return (current if current_d >= config.target_d else None), index
+    found = LinearCode(np.hstack([eye, a])) if current_d >= config.target_d else None
+    return found, index
 
 
 def _search_puncture_shorten(config: SearchConfig) -> tuple[Optional[LinearCode], int]:

@@ -10,7 +10,12 @@ Expanding the inner product of two updated rows, every cross term cancels
 against a conjugate partner (characteristic 2), so the Gram matrix of the
 full generator is unchanged and the hull dimension of the new code equals
 that of the old one.  This turns one LCD code into many candidate LCD codes
-of the same length and dimension.
+of the same length and dimension.  The formula has one implementation, on
+the A block (``_axy_update``), and a pair one validator, ``IsotropicPair``
+(a zero vector raises ``ZeroVectorError``, itself an ``IsotropyError``);
+``axy_construct`` adds the standard-form and length checks and wraps the
+result in a ``LinearCode``, and the search's climb calls the update on A
+directly.
 
 Puncturing and shortening are the usual coordinate deletions; coordinates
 are 1-based in every public signature here.  For an LCD code whose minimum
@@ -45,7 +50,15 @@ from .gf4 import MUL, OMEGA2, from_symbols, hermitian_inner, to_symbols
 
 @dataclass(frozen=True)
 class IsotropicPair:
-    """Two vectors with (x,x)_h = (y,y)_h = (x,y)_h = 0, both nonzero."""
+    """Two vectors with (x,x)_h = (y,y)_h = (x,y)_h = 0, both nonzero.
+
+    The only validator of a pair: every use of the update takes one.
+
+    Raises:
+        LengthMismatchError: if x and y differ in length.
+        ZeroVectorError: if x or y is zero.
+        IsotropyError: if any of the three inner products is nonzero.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -53,13 +66,13 @@ class IsotropicPair:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.uint8).copy())
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.uint8).copy())
-        report = check_isotropic(self.x, self.y)
-        if not report.valid:
+        r = check_isotropic(self.x, self.y)
+        products = dict(xx=r.xx, yy=r.yy, xy=r.xy)
+        if r.x_is_zero or r.y_is_zero:
+            raise ZeroVectorError(f"{'x' if r.x_is_zero else 'y'} is zero", **products)
+        if not r.isotropic:
             raise IsotropyError(
-                f"not a valid isotropic pair: {report}",
-                xx=report.xx,
-                yy=report.yy,
-                xy=report.xy,
+                f"pair is not isotropic: (x,x)={r.xx} (y,y)={r.yy} (x,y)={r.xy}", **products
             )
         self.x.setflags(write=False)
         self.y.setflags(write=False)
@@ -107,6 +120,15 @@ def check_isotropic(x: np.ndarray, y: np.ndarray) -> IsotropyReport:
     )
 
 
+def _axy_update(a: np.ndarray, pair: IsotropicPair) -> np.ndarray:
+    """The A block with each row a_i replaced by
+    a_i + (a_i, y)_h x + (a_i, x)_h y."""
+    x, y = pair.x, pair.y
+    # Row-wise inner products of the A block with y and with x.
+    ip_y, ip_x = linalg.multiply(a, linalg.conj_transpose(np.vstack([y, x]))).T
+    return a ^ MUL[ip_y[:, None], x[None, :]] ^ MUL[ip_x[:, None], y[None, :]]
+
+
 def axy_construct(
     code: Union[LinearCode, np.ndarray],
     x: Union[IsotropicPair, np.ndarray],
@@ -127,42 +149,22 @@ def axy_construct(
     Raises:
         NotStandardFormError: if the left block is not the identity.
         LengthMismatchError: if x or y does not have length n - k.
-        ZeroVectorError: if x or y is zero.
-        IsotropyError: if any of the three pair inner products is nonzero.
+        ZeroVectorError, IsotropyError: from IsotropicPair, for raw x and y
+            that are not a valid pair.
     """
-    if isinstance(x, IsotropicPair):
-        x, y = x.x, x.y
     gen = code.gen if isinstance(code, LinearCode) else np.asarray(code, dtype=np.uint8)
     k, n = gen.shape
     if k < 1 or n <= k:
         raise NotStandardFormError(f"need 1 <= k < n, got k={k}, n={n}")
     if not np.array_equal(gen[:, :k], linalg.identity(k)):
         raise NotStandardFormError("left block is not the identity")
-    x = np.asarray(x, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
-    if x.shape != (n - k,) or y.shape != (n - k,):
+    shapes = [np.shape(v) for v in ((x.x, x.y) if isinstance(x, IsotropicPair) else (x, y))]
+    if shapes != [(n - k,)] * 2:
         raise LengthMismatchError(
-            f"x and y must have length {n - k}, got {x.shape} and {y.shape}"
+            f"x and y must have length {n - k}, got {shapes[0]} and {shapes[1]}"
         )
-    if not x.any():
-        raise ZeroVectorError("x is zero")
-    if not y.any():
-        raise ZeroVectorError("y is zero")
-    report = check_isotropic(x, y)
-    if not report.isotropic:
-        raise IsotropyError(
-            "pair is not isotropic: "
-            f"(x,x)={report.xx} (y,y)={report.yy} (x,y)={report.xy}",
-            xx=report.xx,
-            yy=report.yy,
-            xy=report.xy,
-        )
-
-    a = gen[:, k:]
-    # Row-wise inner products of the A-block with y and with x.
-    ip_y, ip_x = linalg.multiply(a, linalg.conj_transpose(np.vstack([y, x]))).T
-    a_new = a ^ MUL[ip_y[:, None], x[None, :]] ^ MUL[ip_x[:, None], y[None, :]]
-    return LinearCode(np.hstack([linalg.identity(k), a_new]))
+    pair = x if isinstance(x, IsotropicPair) else IsotropicPair(x, y)
+    return LinearCode(np.hstack([linalg.identity(k), _axy_update(gen[:, k:], pair)]))
 
 
 def _normalize_coords(

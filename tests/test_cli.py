@@ -70,12 +70,17 @@ def test_parse_raises_only_format_errors(text):
 
 
 def test_parse_errors_carry_location():
+    # The location is in the fields and, once, at the end of the message.
     with pytest.raises(CodeFileError) as exc:
         cli.parse_code_file("10w\n0x1\n")
     assert exc.value.line == 2 and exc.value.column == 2
+    assert str(exc.value) == "invalid symbol 'x' (line 2, column 2)"
+    assert str(exc.value).count("line") == str(exc.value).count("column") == 1
     with pytest.raises(CodeFileError) as exc:
         cli.parse_code_file("10w\n01\n")
     assert exc.value.line == 2 and exc.value.column is None
+    assert str(exc.value) == "row has 2 symbols, expected 3 (line 2)"
+    assert str(exc.value).count("line") == 1
     with pytest.raises(CodeFileError):
         cli.parse_code_file("# only a comment\n")
     with pytest.raises(RankDeficientError):
@@ -189,6 +194,10 @@ def test_axy_cli(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "IsotropyError"
     assert {"xx", "yy", "xy"} <= set(err)
+    # A zero vector is an IsotropyError too, and reports the inner products.
+    assert cli.main(["axy", path, "--x", "0000", "--y", "0011"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ZeroVectorError", "message": "x is zero", "xx": 0, "yy": 0, "xy": 0}
     assert cli.main(["axy", path, "--x", "1100", "--y", "0011"]) == 0
     out = cli.parse_code_file(capsys.readouterr().out)
     assert (out.n, out.k) == (10, 6)
@@ -282,6 +291,26 @@ def test_verify_table_cli(tmp_path, capsys):
     write_code(results / "bad.code", bad)
     assert cli.main(["verify-table", "--results", str(results)]) == 1
     assert "not-lcd" in capsys.readouterr().out
+
+
+def test_verify_table_names_the_bad_file(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    write_code(results / "a_good.code", random_lcd(14, 10, 1))
+    bad = results / "b_bad.code"
+    for text, fields in (
+        ("# only a comment\n", {}),
+        ("10w\n0x1\n", {"line": 2, "column": 2}),
+        ("10w\n10w\n", {}),
+    ):
+        bad.write_text(text)
+        assert cli.main(["verify-table", "--results", str(results)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["file"] == "b_bad.code"
+        assert {key: err[key] for key in ("line", "column") if key in err} == fields
+    assert err["error"] == "RankDeficientError"
 
 
 def test_verify_table_needs_directory(tmp_path, capsys):

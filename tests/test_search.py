@@ -187,6 +187,24 @@ def test_axy_restart_stays_in_budget(monkeypatch):
             assert r.candidates_tried == budget
 
 
+def test_axy_step_asserts_the_gram_matrix(monkeypatch):
+    # An update that broke the Gram matrix would stop the climb at once.
+    search_module = importlib.import_module("hlcd4.search")
+    update = search_module._axy_update
+
+    def broken(a, pair):
+        moved = update(a, pair).copy()
+        moved[0, 0] ^= 1
+        return moved
+
+    monkeypatch.setattr(search_module, "_axy_update", broken)
+    cfg = SearchConfig(
+        n=12, k=6, target_d=5, seed=1, budget=10, strategy=Strategy.AXY_NEIGHBORHOOD
+    )
+    with pytest.raises(AssertionError, match="Gram matrix"):
+        search(cfg)
+
+
 def test_axy_strategy_base_handling():
     base = random_lcd(10, 5, 7)
     target = base.min_weight()
@@ -204,6 +222,34 @@ def test_axy_strategy_base_handling():
                 strategy=Strategy.AXY_NEIGHBORHOOD, base=base,
             )
         )
+
+
+def test_axy_climb_runs_in_standard_form_columns():
+    # A base whose first five columns are not an information set: its
+    # standard form moves column 3 behind columns 4 and 5, and the climb
+    # starts from, and returns, that column-permuted copy.
+    base = LinearCode(random_lcd(10, 5, 0).gen[:, [5, 6, 7, 8, 9, 0, 1, 2, 3, 4]])
+    form = linalg.standard_form(base.gen)
+    assert form.permutation.tolist() == [0, 1, 2, 4, 5, 3, 6, 7, 8, 9]
+    assert base.min_weight() == 3
+
+    def climb(target, seed):
+        return search(
+            SearchConfig(
+                n=10, k=5, target_d=target, seed=seed, budget=50,
+                strategy=Strategy.AXY_NEIGHBORHOOD, base=base,
+            )
+        )
+
+    r = climb(3, 1)
+    assert r.candidates_tried == 0
+    assert r.found != base
+    assert r.found == LinearCode(form.matrix)
+    assert np.array_equal(r.found.gen, form.matrix)
+    r = climb(4, 3)
+    assert r.candidates_tried == 8
+    assert hashlib.sha256(r.found.gen.tobytes()).hexdigest()[:16] == "0c1267453fc91e8c"
+    assert np.array_equal(r.found.gen[:, :5], linalg.identity(5))
 
 
 def test_elliptic_quadric_code():

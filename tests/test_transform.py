@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlcd4 import linalg
 from hlcd4.code import LinearCode
@@ -15,7 +17,8 @@ from hlcd4.errors import (
     PreconditionError,
     ZeroVectorError,
 )
-from hlcd4.gf4 import from_symbols
+from hlcd4.gf4 import MUL, from_symbols, hermitian_inner
+from hlcd4.search import sample_isotropic_pair
 from hlcd4.transform import (
     Derivative,
     IsotropicPair,
@@ -44,8 +47,13 @@ def test_pair_validation():
     with pytest.raises(IsotropyError) as exc:
         IsotropicPair.from_symbols("10", "11")  # (x,x)_h = 1
     assert exc.value.xx == 1
-    with pytest.raises(IsotropyError):
+    with pytest.raises(ZeroVectorError):
         IsotropicPair.from_symbols("00", "11")  # zero x fails validity
+    # The zero test comes first, and reports all three products.
+    with pytest.raises(ZeroVectorError) as exc:
+        IsotropicPair.from_symbols("10", "00")
+    assert str(exc.value) == "y is zero"
+    assert exc.value.fields == {"xx": 1, "yy": 0, "xy": 0}
     with pytest.raises(LengthMismatchError):
         check_isotropic(from_symbols("11"), from_symbols("111"))
 
@@ -102,8 +110,6 @@ def _sample_pair_vector(rng, length):
 
 
 def test_axy_preserves_gram_and_hull(rng):
-    from hlcd4.search import sample_isotropic_pair
-
     for trial in range(100):
         k = int(rng.integers(1, 6))
         h = trial % (k + 1)
@@ -113,6 +119,40 @@ def test_axy_preserves_gram_and_hull(rng):
         assert (out.n, out.k) == (c.n, c.k)
         assert np.array_equal(out.gram, c.gram)
         assert out.hull_dim() == h
+
+
+def _axy_reference(a, x, y):
+    """The update row by row: a_i + (a_i, y)_h x + (a_i, x)_h y."""
+    return np.array(
+        [row ^ MUL[hermitian_inner(row, y), x] ^ MUL[hermitian_inner(row, x), y] for row in a],
+        dtype=np.uint8,
+    ).reshape(a.shape)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_axy_update_property(data):
+    # Standard-form codes with k <= 6 and n - k <= 8 at every hull
+    # dimension, and pairs as the climb samples them.
+    k = data.draw(st.integers(1, 6), "k")
+    h = data.draw(st.integers(0, k), "hull")
+    extra = data.draw(st.integers(max(0, 2 - k), 8 - k), "extra")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    c = code_with_hull(rng, k, h, extra)
+    pair = sample_isotropic_pair(c.n - c.k, rng)
+    out = axy_construct(c, pair)
+    assert np.array_equal(out.gram, c.gram)
+    assert np.array_equal(out.gen[:, :k], linalg.identity(k))
+    assert np.array_equal(out.gen[:, k:], _axy_reference(c.gen[:, k:], pair.x, pair.y))
+    # A zero vector in either place is a ZeroVectorError, which is an
+    # IsotropyError carrying the three inner products.
+    zero = np.zeros(c.n - c.k, dtype=np.uint8)
+    for x, y in ((zero, pair.y), (pair.x, zero)):
+        with pytest.raises(ZeroVectorError) as exc:
+            IsotropicPair(x, y)
+        assert isinstance(exc.value, IsotropyError)
+        assert (exc.value.xx, exc.value.yy, exc.value.xy) == (0, 0, 0)
+        assert exc.value.fields == {"xx": 0, "yy": 0, "xy": 0}
 
 
 def test_axy_accepts_matrix_and_separate_vectors():
