@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import asdict, dataclass
-from math import comb
+from math import comb, prod
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -314,24 +314,33 @@ def _row_multiples(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (..., W, k, 3) low and high planes of 1, w and w^2 times each row.
 
     ``a`` is (..., k, m), with any leading batch axes; W = ceil(m / 64) and
-    column j is bit j % 64 of word j // 64.  One word holds the columns in
-    the narrowest unsigned type when they fit in 64 bits; a zero column
-    stands in when there are none (k = n).
+    column j is bit j % 64 of word j // 64.  The word type is the narrowest
+    unsigned type that holds m bits when m <= 64, and uint64 above; a zero
+    column stands in when there are none (k = n).  The planes are views of
+    one array held batch axis last, so a copy that puts the batch last runs
+    over contiguous lanes.
     """
-    if a.shape[-1] == 0:
-        a = np.zeros(a.shape[:-1] + (1,), dtype=np.uint8)
-    cols = np.arange(a.shape[-1])
-    # The bits of the columns are disjoint, so a product sums them into
-    # their words without carries.
-    place = np.zeros((len(cols), -(-len(cols) // 64)), dtype=np.uint64)
-    place[cols, cols // 64] = np.uint64(1) << (cols % 64).astype(np.uint64)
-    p = (np.stack([a & 1, a >> 1]) @ place).swapaxes(-1, -2)
-    if p.shape[-2] == 1:
-        p = p.astype(np.min_scalar_type(int(p.max())))
+    *batch, k, m = a.shape
+    lanes = prod(batch)
+    word = np.dtype(f"<u{np.min_scalar_type((1 << min(m, 64)) - 1).itemsize}")
+    words = -(-m // 64) or 1
+    # Each row padded with zero columns to whole words, one symbol a byte:
+    # the row is copied as one opaque m-byte element.
+    planes = np.zeros((2, lanes, k, 8 * word.itemsize * words), dtype=np.uint8)
+    if m:
+        rows = np.ascontiguousarray(a).reshape(lanes, k, m).view(f"V{m}")
+        planes[0, ..., :m].view(f"V{m}")[...] = rows
+        np.right_shift(planes[0], 1, out=planes[1])
+        planes[0] &= 1
+    # Padded rows fill whole bytes, so packing the bits in order packs each
+    # row into its own little-endian words; then the batch goes last.
+    p = np.packbits(planes, bitorder="little").view(word).reshape(2, lanes, k, words)
+    p = np.ascontiguousarray(p.transpose(0, 3, 2, 1))
     # The low planes of 1, w and w^2 times a row are p0, p1, p0 ^ p1, and
     # its high planes the same run shifted by one.
-    m = np.stack([p[0], p[1], p[0] ^ p[1], p[0]], axis=-1)
-    return m[..., :3], m[..., 1:]
+    run = np.stack([p[0], p[1], p[0] ^ p[1], p[0]], axis=2)
+    run = run.reshape(words, k, 4, *batch).transpose(*range(3, 3 + len(batch)), 0, 1, 2)
+    return run[..., :3], run[..., 1:]
 
 
 # Elements one chunk of the light test gathers from its table, across the
@@ -381,7 +390,8 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
     # row i, batch on the last axis, so every gather below copies whole rows.
     rows0, rows1 = _row_multiples(a)
     words = rows0.shape[1]
-    table = np.stack([rows0, rows1]).transpose(3, 4, 0, 2, 1).reshape(3 * k, 2, words, batch)
+    planes = [rows.transpose(2, 3, 1, 0) for rows in (rows0, rows1)]
+    table = np.stack(planes, axis=2).reshape(3 * k, 2, words, batch)
     alive = np.arange(batch)
     # Summed over the words in a type that holds every weight up to m.
     count_type = np.min_scalar_type(m)
@@ -394,7 +404,9 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
                 c ^= table[rows]
             low = np.bitwise_count(c[:, 0] | c[:, 1]).sum(axis=1, dtype=count_type).min(axis=0)
             ok = low >= target - v
-            alive, table = alive[ok], table[..., ok]
+            # compress keeps the batch axis last in memory; a boolean
+            # index would put it first and slow every later gather.
+            alive, table = alive[ok], table.compress(ok, axis=-1)
             lo = hi
     return alive
 

@@ -5,17 +5,20 @@ Three strategies:
 RANDOM draws standard-form generator matrices (I_k | A) with uniform A and
 keeps the first candidate that is LCD with minimum weight at or above the
 target.  Candidate i's A is numpy's ``default_rng([seed, i]).integers(0, 4,
-size=(k, n - k), dtype=uint8)``, reproduced for about a thousand
-consecutive indices at once (``_candidate_block``: the SeedSequence hash,
-PCG64 seeding and XSL-RR outputs on arrays of lanes) and checked against
-numpy in the tests.  One vectorised light weight test, over messages of
-weight at most 3, covers the whole block of drawn candidates at any length;
-it tests one message weight at a time and drops the candidates each part
-rejects.  Only its survivors, in index order, take the weight check (for
-targets above 4) and the LCD check.  The result is therefore the lowest hit
-index, a pure function of (seed, index) that does not depend on the block
-size.  The light test and the engine behind the weight check read one
-packed row-multiples table (``code._row_multiples``), at every length.
+size=(k, n - k), dtype=uint8)``, reproduced for a block of consecutive
+indices at once (``_candidate_block``: the SeedSequence hash, PCG64 seeding
+and XSL-RR outputs on arrays of lanes) and checked against numpy in the
+tests.  The first block holds 1024 indices and each later one twice as
+many, up to about 2^17 drawn symbols (never fewer than 1024 indices): 4096
+at [12, 8].  One vectorised light weight test, over messages of weight at
+most 3, covers the whole block of drawn candidates at any length; it tests
+one message weight at a time and drops the candidates each part rejects.
+Only its survivors, in index order, take the weight check (for targets
+above 4) and the LCD check.  The result is therefore the lowest hit index,
+a pure function of (seed, index): the block size never changes which
+candidate is found.  The light test and the engine behind the weight check
+read one packed row-multiples table (``code._row_multiples``), at every
+length.
 ``SearchConfig.threads`` is accepted and ignored: search is serial.
 
 AXY_NEIGHBORHOOD hill-climbs from an LCD code (I_k | A) using the
@@ -114,9 +117,26 @@ def _candidate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-# Random search draws and light-tests this many consecutive candidate
-# indices at once.
+# Random search draws and light-tests consecutive candidate indices in
+# blocks: _LANES at first, twice as many after each block, up to the larger
+# of _LANES and about _BLOCK_SYMBOLS drawn symbols.  Larger blocks spread
+# each numpy call over more candidates; the block size never changes which
+# candidate is found.
 _LANES = 1024
+_BLOCK_SYMBOLS = 1 << 17
+
+
+def _blocks(budget: int, k: int, m: int):
+    """The (first index, count) blocks of a random search, up to ``budget``."""
+    # Every candidate draws whole 64-bit outputs of eight symbols.
+    cap = max(_LANES, _BLOCK_SYMBOLS // (8 * max(1, -(-k * m // 8))))
+    first, lanes = 0, _LANES
+    while first < budget:
+        count = min(lanes, budget - first)
+        yield first, count
+        first += count
+        lanes = min(2 * lanes, cap)
+
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq mixing).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -127,48 +147,54 @@ _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _M32 = 0xFFFFFFFF
 
 
-def _seed_states(seed: int, index: np.ndarray) -> list:
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constants of ``calls`` successive hashmix calls, as a column:
+    call j xors with entry j and multiplies by entry j + 1."""
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & _M32)
+    return np.array(c, dtype=np.uint32)[:, None]
+
+
+# The pool mixing makes 16 hashmix calls, the output 8.
+_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 16)
+_OUT_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Successive hashmix calls, one per row of ``consts[1:]``, broadcast
+    against ``value``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _seed_states(seed: int, index: np.ndarray) -> np.ndarray:
     """``SeedSequence([seed, i]).generate_state(8, uint32)`` for each lane
-    i of ``index``, as eight uint32 arrays; seed and i below 2^32."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = x * _MIX_L - y * _MIX_R
-        return result ^ result >> 16
-
+    i of ``index``, as an (8, lanes) uint32 array; seed and i below 2^32."""
     # Entropy [seed, i] padded with zeros to the pool size of four words.
-    zero = np.zeros_like(index)
-    pool = [hashmix(word) for word in (zero + seed, index, zero, zero)]
+    pool = np.zeros((4, len(index)), dtype=np.uint32)
+    pool[0], pool[1] = seed, index
+    pool = _hashmix(pool, _POOL_HASH[:5])
+    # Each word is hashed once for each of the other three words, with
+    # three successive constants, and mixed into them, all three at once.
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _M32
-        value = value * hash_const
-        state.append(value ^ value >> 16)
-    return state
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], _POOL_HASH[4 + 3 * src : 8 + 3 * src])
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+        pool[dst] = mixed ^ mixed >> 16
+    return _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_HASH)
 
 
 def _pcg_step(hi, lo, inc_hi, inc_lo):
     """One step of PCG64's LCG, state * multiplier + increment mod 2^128,
     on lanes of (high, low) uint64 limbs."""
-    # High word of lo * _PCG_LO from 32-bit partial products.
+    # High word of lo * _PCG_LO from 32-bit partial products; no sum below
+    # can pass 2^64.
     lo0, lo1 = lo & _M32, lo >> 32
     b0, b1 = _PCG_LO & _M32, _PCG_LO >> 32
-    p01, p10 = lo0 * b1, lo1 * b0
-    mid = (lo0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    carry = lo1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    t = lo1 * b0 + (lo0 * b0 >> 32)
+    u = lo0 * b1 + (t & _M32)
+    carry = lo1 * b1 + (t >> 32) + (u >> 32)
     new_lo = lo * _PCG_LO + inc_lo
     new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo)
     return new_hi, new_lo
@@ -177,9 +203,9 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 def _pcg_entries(seed: int, index: np.ndarray, size: int) -> np.ndarray:
     """``default_rng([seed, i]).integers(0, 4, size, dtype=uint8)`` for each
     lane i of ``index``: a (lanes, size) array; seed and i below 2^32."""
-    s = [w.astype(np.uint64) for w in _seed_states(seed, index)]
+    s = _seed_states(seed, index).astype(np.uint64)
     # generate_state(4, uint64) pairs the words little-endian.
-    seed_hi, seed_lo, inc_hi, inc_lo = (s[j] | s[j + 1] << 32 for j in range(0, 8, 2))
+    seed_hi, seed_lo, inc_hi, inc_lo = s[0::2] | s[1::2] << 32
     # Set-seq seeding: state 0, increment (inc << 1) | 1, step, add the
     # seed, step.
     inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
@@ -297,8 +323,8 @@ def _exact_weight_at_least(gen: np.ndarray, target: int) -> Optional[int]:
 
 def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
     n, k, target = config.n, config.k, config.target_d
-    for first in range(0, config.budget, _LANES):
-        a = _candidate_block(config.seed, first, min(_LANES, config.budget - first), k, n - k)
+    for first, count in _blocks(config.budget, k, n - k):
+        a = _candidate_block(config.seed, first, count, k, n - k)
         # The light test rejects most candidates and fully decides d >= target
         # when target <= 4; above that its survivors take the engine.
         for j in _light_survivors(a, target):

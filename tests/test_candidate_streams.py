@@ -38,6 +38,7 @@ def assert_matches_numpy(seed, start, count, k, m):
     m=st.integers(0, 24),
 )
 @example(seed=15, start=59000, count=8, k=8, m=4)  # the [12,8,4] record's hit
+@example(seed=15, start=3072, count=4096, k=8, m=4)  # a block grown to its cap at k·m = 32
 @example(seed=0, start=0, count=1, k=1, m=1)
 @example(seed=3, start=0, count=5, k=4, m=0)  # k = n: nothing is drawn
 @example(seed=2**32 - 1, start=2**32 - 1, count=2, k=3, m=3)

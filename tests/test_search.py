@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 from dataclasses import replace
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hlcd4.search import (
     SearchResult,
     Strategy,
     VerifyStatus,
-    _LANES,
+    _blocks,
     elliptic_quadric_code,
     random_lcd,
     sample_isotropic_pair,
@@ -86,6 +87,8 @@ def _first_hit(config):
     """(candidates tried, generator) of the lowest-index hit, one candidate at
     a time: draw, engine cutoff scan, LCD check; no blocks, no light test."""
     n, k, target = config.n, config.k, config.target_d
+    if target > n - k + 1:
+        return config.budget, None  # above the Singleton bound nothing hits
     for index in range(config.budget):
         rng = np.random.default_rng([config.seed, index])
         a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
@@ -109,8 +112,11 @@ def _first_hit(config):
     ],
 )
 def test_random_search_matches_candidate_loop(n, k, target, seed):
-    # budgets around the block of drawn and light-tested streams
-    budgets = (1, 2, _LANES - 1, _LANES, _LANES + 1, 3 * _LANES)
+    # budgets 1 and 2, and one below, at and one above the end of each of
+    # the first three blocks of drawn and light-tested streams; the third
+    # block has grown to its cap at every shape here
+    ends = islice(accumulate(count for _, count in _blocks(10**9, k, n - k)), 3)
+    budgets = sorted({1, 2} | {end + step for end in ends for step in (-1, 0, 1)})
     hit, gen = _first_hit(SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=budgets[-1]))
     for budget in budgets:
         r = search(SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=budget))
@@ -120,6 +126,40 @@ def test_random_search_matches_candidate_loop(n, k, target, seed):
             assert np.array_equal(r.found.gen, gen)
         else:
             assert r.found is None and r.candidates_tried == budget
+
+
+def test_block_schedule_grows_to_its_cap():
+    # blocks double from 1024 up to about 2^17 drawn symbols, never below
+    # 1024 lanes, and stop at the budget
+    assert [c for _, c in _blocks(20000, 8, 4)] == [1024, 2048, 4096, 4096, 4096, 4096, 544]
+    assert [c for _, c in _blocks(5000, 10, 13)] == [1024] * 4 + [904]
+    assert [c for _, c in _blocks(3, 2, 2)] == [3]
+    assert [c for _, c in _blocks(10**6, 4, 0)][:6] == [1024, 2048, 4096, 8192, 16384, 16384]
+    blocks = list(_blocks(10**5, 9, 4))
+    assert [first for first, _ in blocks] == list(accumulate([0] + [c for _, c in blocks[:-1]]))
+
+
+@pytest.mark.parametrize(
+    "n, k, target, seed, hit",
+    [
+        (12, 8, 4, 535, 4036),  # the record's shape: hit in the third block, grown to 4096
+        (13, 7, 5, 1, 1220),  # target above 4: survivors take the engine
+    ],
+)
+def test_random_search_does_not_depend_on_block_schedule(monkeypatch, n, k, target, seed, hit):
+    config = SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=10**5)
+    default = search(config)
+    assert default.candidates_tried == hit
+    search_module = importlib.import_module("hlcd4.search")
+    for lanes in (1024, 7):
+        with monkeypatch.context() as m:
+            # no growth: every block has the starting size
+            m.setattr(search_module, "_LANES", lanes)
+            m.setattr(search_module, "_BLOCK_SYMBOLS", 0)
+            assert [c for _, c in _blocks(4 * lanes, k, n - k)] == [lanes] * 4
+            r = search(config)
+        assert r.candidates_tried == default.candidates_tried
+        assert np.array_equal(r.found.gen, default.found.gen)
 
 
 def test_random_strategy_target_one():

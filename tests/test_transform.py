@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hlcd4 import linalg
@@ -258,6 +258,35 @@ def test_lcd_exactly_one(rng):
             assert p != s  # exactly one
             expected = Derivative.PUNCTURED if p else Derivative.SHORTENED
             assert which is expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_dichotomy_and_parity_agree_property(data):
+    # random LCD codes of length at most 12: with d, d_dual >= 2 the
+    # dichotomy, the direct checks and the parity prediction agree at every
+    # coordinate; with d = 1 or d_dual = 1 the dichotomy refuses the code
+    n = data.draw(st.integers(2, 12), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    gen = np.random.default_rng(seed).integers(0, 4, size=(k, n), dtype=np.uint8)
+    assume(linalg.rank(gen) == k)
+    c = LinearCode(gen)
+    assume(c.is_lcd())
+    dual = c.hermitian_dual()
+    margin = c.min_weight() >= 2 and (dual.k == 0 or dual.min_weight() >= 2)
+    parity = lcd_column_parity(c)
+    for coord in range(1, n + 1):
+        if not margin:
+            with pytest.raises(PreconditionError):
+                lcd_exactly_one(c, coord)
+            continue
+        p = puncture(c, coord).is_lcd()
+        s = shorten(c, coord).is_lcd()
+        report = parity[coord - 1]
+        assert report.coordinate == coord
+        assert (report.puncture_is_lcd, report.shorten_is_lcd) == (p, s)
+        assert lcd_exactly_one(c, coord) is (Derivative.PUNCTURED if p else Derivative.SHORTENED)
 
 
 def test_lcd_exactly_one_preconditions(rng):
