@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, linalg
 from .code import _DEFAULT_BUDGET, CodeSummary, LinearCode
 from .errors import CodeFileError, Hlcd4Error, RankDeficientError
-from .gf4 import from_symbols, to_symbols
+from .gf4 import SYMBOLS, from_symbols, to_symbols
 from .search import SearchConfig, Strategy, VerifyStatus, search, verify_bounds
 from .tables import BoundsTable
 from .transform import (
@@ -42,8 +42,6 @@ from .transform import (
     puncture,
     shorten,
 )
-
-_SYMBOL_SET = set("01wW")
 
 
 def parse_code_file(text: str) -> LinearCode:
@@ -60,14 +58,13 @@ def parse_code_file(text: str) -> LinearCode:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        symbols = []
-        for col, ch in enumerate(line, start=1):
-            if ch.isspace():
-                continue
-            if ch not in _SYMBOL_SET:
-                raise CodeFileError(f"invalid symbol {ch!r}", line=lineno, column=col)
-            symbols.append(ch)
-        rows.append(from_symbols("".join(symbols)))
+        try:
+            rows.append(from_symbols(line))
+        except ValueError:
+            # Locate the first bad symbol for the report.
+            col = next(c for c, ch in enumerate(line, 1) if not ch.isspace() and ch not in SYMBOLS)
+            message = f"invalid symbol {line[col - 1]!r}"
+            raise CodeFileError(message, line=lineno, column=col) from None
         row_lines.append(lineno)
     if not rows:
         raise CodeFileError("no matrix rows in input")

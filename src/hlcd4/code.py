@@ -7,12 +7,12 @@ treated as trivially LCD (its hull is the zero space).
 
 Minimum weight comes from one engine.  Scalar multiples of a codeword share
 its weight, so only messages whose first nonzero symbol is 1 are visited.
-Codewords are packed into two bit planes (low and high bit of each symbol) of
-W = ceil(n/64) machine words each; the weight is the popcount summed over the
-words.  One table of the packed rows' 1, w and w^2 multiples feeds both
-weight enumerators, at every length: the engine, and the batched light test
-of search, which runs the messages of weight 1, 2 and 3 in turn and drops
-the codes each part rejects before the next.  The engine, ``_min_weight``,
+Codewords are packed into the two bit planes of :mod:`hlcd4.gf4`, W =
+ceil(n/64) machine words each, carried on one array axis; the weight is the
+popcount summed over the words.  One table of the packed rows' 1, w and w^2
+multiples feeds both weight enumerators, at every length: the engine, and
+the batched light test of search, which runs the messages of weight 1, 2
+and 3 in turn and drops the codes each part rejects before the next.  The engine, ``_min_weight``,
 is one loop: it enumerates messages by weight over several information sets
 (Brouwer-Zimmermann) and stops once a lower bound on the weight of every
 codeword not yet seen meets the best weight found, at the cutoff, or at the
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceededError, RankDeficientError, TooLargeError
-from .gf4 import CONJ, MUL, from_symbols, to_symbols
+from .gf4 import CONJ, MUL, _pack_planes, _plane_multiples, from_symbols, to_symbols
 
 
 # Codeword budget for weight computations whose caller did not ask for an
@@ -294,14 +294,9 @@ def _macwilliams(dual_counts: list[int], n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Packed bit planes and the row-multiples table (the hot path).
 #
-# A codeword splits into two bit planes (low bit, high bit), each W words
-# long.  Multiplying a packed word (p0, p1) by a scalar permutes/mixes the
-# planes, word by word:
-#   1 * (p0, p1) = (p0, p1)
-#   w * (p0, p1) = (p1, p0 ^ p1)
-#   w^2 * (p0, p1) = (p0 ^ p1, p0)
-# Weight is the popcount of p0 | p1.  ``_row_multiples`` is the one place
-# that packs rows and forms these multiples; the light test and the
+# A codeword is its two packed bit planes (:mod:`hlcd4.gf4`), each W words
+# long, held on the first axis of one array.  ``_row_multiples`` is the one
+# place that packs rows and forms their multiples; the light test and the
 # information sets both read from its table, at every length.
 
 
@@ -310,37 +305,24 @@ def _macwilliams(dual_counts: list[int], n: int) -> list[int]:
 _CHUNK = 1 << 13
 
 
-def _row_multiples(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., W, k, 3) low and high planes of 1, w and w^2 times each row.
+def _row_multiples(a: np.ndarray) -> np.ndarray:
+    """The (2, W, k, 3, ...) planes of 1, w and w^2 times each row.
 
-    ``a`` is (..., k, m), with any leading batch axes; W = ceil(m / 64) and
-    column j is bit j % 64 of word j // 64.  The word type is the narrowest
-    unsigned type that holds m bits when m <= 64, and uint64 above; a zero
-    column stands in when there are none (k = n).  The planes are views of
-    one array held batch axis last, so a copy that puts the batch last runs
-    over contiguous lanes.
+    ``a`` is (..., k, m), with any leading batch axes, which the table
+    carries last, so a copy runs over contiguous lanes; W = ceil(m / 64)
+    and column j is bit j % 64 of word j // 64.  The word type is the
+    narrowest unsigned type that holds m bits when m <= 64, and uint64
+    above; a zero column stands in when there are none (k = n).
     """
     *batch, k, m = a.shape
     lanes = prod(batch)
     word = np.dtype(f"<u{np.min_scalar_type((1 << min(m, 64)) - 1).itemsize}")
     words = -(-m // 64) or 1
-    # Each row padded with zero columns to whole words, one symbol a byte:
-    # the row is copied as one opaque m-byte element.
-    planes = np.zeros((2, lanes, k, 8 * word.itemsize * words), dtype=np.uint8)
-    if m:
-        rows = np.ascontiguousarray(a).reshape(lanes, k, m).view(f"V{m}")
-        planes[0, ..., :m].view(f"V{m}")[...] = rows
-        np.right_shift(planes[0], 1, out=planes[1])
-        planes[0] &= 1
-    # Padded rows fill whole bytes, so packing the bits in order packs each
-    # row into its own little-endian words; then the batch goes last.
-    p = np.packbits(planes, bitorder="little").view(word).reshape(2, lanes, k, words)
+    p = _pack_planes(a.reshape(lanes, k, m), word.itemsize * words).view(word)
+    # Batch last, then both planes of the three multiples in one stack.
     p = np.ascontiguousarray(p.transpose(0, 3, 2, 1))
-    # The low planes of 1, w and w^2 times a row are p0, p1, p0 ^ p1, and
-    # its high planes the same run shifted by one.
-    run = np.stack([p[0], p[1], p[0] ^ p[1], p[0]], axis=2)
-    run = run.reshape(words, k, 4, *batch).transpose(*range(3, 3 + len(batch)), 0, 1, 2)
-    return run[..., :3], run[..., 1:]
+    run = np.stack([q for plane in zip(*_plane_multiples(p[0], p[1])) for q in plane], axis=2)
+    return run.reshape(words, k, 2, 3, *batch).transpose(2, 0, 1, 3, *range(4, 4 + len(batch)))
 
 
 # Elements one chunk of the light test gathers from its table, across the
@@ -388,10 +370,8 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
     # Only the A columns are combined; the identity part contributes the
     # message weight.  Row 3i + f of the table holds both planes of f times
     # row i, batch on the last axis, so every gather below copies whole rows.
-    rows0, rows1 = _row_multiples(a)
-    words = rows0.shape[1]
-    planes = [rows.transpose(2, 3, 1, 0) for rows in (rows0, rows1)]
-    table = np.stack(planes, axis=2).reshape(3 * k, 2, words, batch)
+    rows = _row_multiples(a)
+    table = rows.transpose(2, 3, 0, 1, 4).reshape(3 * k, 2, rows.shape[1], batch)
     alive = np.arange(batch)
     # Summed over the words in a type that holds every weight up to m.
     count_type = np.min_scalar_type(m)
@@ -452,13 +432,11 @@ class _InfoSet:
     """One information set and its kept layer."""
 
     deficit: int
-    # (W, k, 3) planes of f times row i of A_j, f = 1, w, w^2.
-    rows0: np.ndarray
-    rows1: np.ndarray
+    # (2, W, k, 3) planes of f times row i of A_j, f = 1, w, w^2.
+    rows: np.ndarray
     # The kept layer: codewords of every message of weight ``kept``, grouped
-    # by the message's last row, as (W, N) planes; at first the rows.
-    layer0: np.ndarray
-    layer1: np.ndarray
+    # by the message's last row, as (2, W, N) planes; at first the rows.
+    layer: np.ndarray
     kept: int = 1
 
 
@@ -473,8 +451,8 @@ def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
         fresh = [order[p] for p in pivots if p < len(unused)]
         if not fresh:
             break
-        rows0, rows1 = _row_multiples(np.delete(reduced, pivots, axis=1))
-        sets.append(_InfoSet(k - len(fresh), rows0, rows1, rows0[:, :, 0], rows1[:, :, 0]))
+        rows = _row_multiples(np.delete(reduced, pivots, axis=1))
+        sets.append(_InfoSet(k - len(fresh), rows, rows[..., 0]))
         used += fresh
         unused = [c for c in unused if c not in fresh]
     return sets
@@ -497,34 +475,30 @@ def _layer_weights(s: _InfoSet, v: int):
     chunk becomes the kept layer once it has been enumerated.  At v = 1 the
     kept layer is the whole message: t = 0 and the tail is the zero word.
     """
-    words, k, _ = s.rows0.shape
+    _, words, k, _ = s.rows.shape
     keep = s.kept == v - 1 and _layer_size(k, v) <= _CHUNK
-    kept0, kept1 = [], []
-    zero = np.zeros((words, 1), dtype=s.rows0.dtype)
+    kept = []
+    zero = np.zeros((2, words, 1), dtype=s.rows.dtype)
     for tail in itertools.combinations(range(k), v - s.kept):
         size = _layer_size(tail[0] if tail else k, s.kept)
         if not size:
             continue
-        t0, t1 = (s.rows0[:, tail[0]], s.rows1[:, tail[0]]) if tail else (zero, zero)
+        t = s.rows[:, :, tail[0]] if tail else zero
         for i in tail[1:]:
-            t0 = (t0[:, :, None] ^ s.rows0[:, i, None]).reshape(words, -1)
-            t1 = (t1[:, :, None] ^ s.rows1[:, i, None]).reshape(words, -1)
+            t = (t[..., None] ^ s.rows[:, :, i, None]).reshape(2, words, -1)
         # The tail axis outermost, so each XOR runs over a long inner axis.
-        step = max(1, _CHUNK // t0.shape[1])
+        step = max(1, _CHUNK // t.shape[2])
         for lo in range(0, size, step):
             hi = min(lo + step, size)
-            c0 = (t0[:, :, None] ^ s.layer0[:, None, lo:hi]).reshape(words, -1)
-            c1 = (t1[:, :, None] ^ s.layer1[:, None, lo:hi]).reshape(words, -1)
+            c = (t[..., None] ^ s.layer[:, :, None, lo:hi]).reshape(2, words, -1)
             # Summed over the words, plus the message's own v nonzeros, in a
             # type that cannot wrap.
-            yield np.bitwise_count(c0 | c1).sum(axis=0, dtype=np.intp) + v
+            yield np.bitwise_count(c[0] | c[1]).sum(axis=0, dtype=np.intp) + v
             if keep:
-                kept0.append(c0)
-                kept1.append(c1)
+                kept.append(c)
     if keep:
         s.kept = v
-        s.layer0 = np.concatenate(kept0, axis=1)
-        s.layer1 = np.concatenate(kept1, axis=1)
+        s.layer = np.concatenate(kept, axis=2)
 
 
 def _schedule(k: int, deficits: list[int]):

@@ -2,11 +2,19 @@
 
 Elements are stored as the integers 0..3 with 2 = w and 3 = w^2, where w
 satisfies w^2 + w + 1 = 0.  Writing a = a0 + a1*w, the encoding is the
-2-bit integer a0 + 2*a1, so addition is bitwise XOR and a vector splits
-into two bit planes (one per bit) that pack into machine words for the
-weight-enumeration hot path.  Multiplication uses a 16-entry table.
+2-bit integer a0 + 2*a1, so addition is bitwise XOR.  Multiplication uses a
+16-entry table.
 
 Vectors are numpy uint8 arrays with values in {0, 1, 2, 3}.
+
+The fast paths (row reduction, the light test and the minimum-weight
+engine) work on one packed format, owned by this module.  A vector splits
+into two bit planes, the low bits a0 and the high bits a1 of its symbols;
+symbol j is bit j % 8 of byte j // 8 of each plane (little-endian bit
+order), so the bytes read as little-endian words or Python ints put symbol
+j at bit j.  The weight is the popcount of p0 | p1.  Scaling permutes and
+mixes the planes, word by word: 1 * (p0, p1) = (p0, p1),
+w * (p0, p1) = (p1, p0 ^ p1) and w^2 * (p0, p1) = (p0 ^ p1, p0).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
 INV = CONJ
 
 SYMBOLS = "01wW"
-_SYMBOL_TO_VALUE = {"0": 0, "1": 1, "w": 2, "W": 3}
+_SYMBOL_TO_VALUE = {ch: value for value, ch in enumerate(SYMBOLS)}
 
 
 def add(a: int, b: int) -> int:
@@ -64,14 +72,10 @@ def vector(values) -> np.ndarray:
 
 def from_symbols(text: str) -> np.ndarray:
     """Parse a symbol string like ``'1wW0'`` (whitespace ignored)."""
-    out = []
-    for ch in text:
-        if ch.isspace():
-            continue
-        if ch not in _SYMBOL_TO_VALUE:
-            raise ValueError(f"invalid symbol {ch!r}, expected one of '01wW'")
-        out.append(_SYMBOL_TO_VALUE[ch])
-    return np.array(out, dtype=np.uint8)
+    try:
+        return np.array([_SYMBOL_TO_VALUE[ch] for ch in "".join(text.split())], dtype=np.uint8)
+    except KeyError as e:
+        raise ValueError(f"invalid symbol {e.args[0]!r}, expected one of {SYMBOLS!r}") from None
 
 
 def to_symbols(v: np.ndarray) -> str:
@@ -102,3 +106,37 @@ def hermitian_inner(x: np.ndarray, y: np.ndarray) -> int:
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     return int(np.bitwise_xor.reduce(MUL[x, CONJ[y]]))
+
+
+def _pack_planes(a: np.ndarray, size: int) -> np.ndarray:
+    """The packed (2, ..., size) uint8 planes of the rows of ``a`` (..., m).
+
+    Each row is padded with zero bits to ``size`` bytes (at least
+    ceil(m / 8)).  A wider size lets the bytes be viewed as whole words.
+    """
+    *lead, m = a.shape
+    # Each row padded with zero columns to whole bytes, one symbol a byte:
+    # the row is copied as one opaque m-byte element.
+    planes = np.zeros((2, *lead, 8 * size), dtype=np.uint8)
+    if m:
+        planes[0, ..., :m].view(f"V{m}")[...] = np.ascontiguousarray(a).view(f"V{m}")
+        np.right_shift(planes[0], 1, out=planes[1])
+        planes[0] &= 1
+    # Padded rows fill whole bytes, so packing the bits in order packs each
+    # row into its own bytes.
+    return np.packbits(planes, bitorder="little").reshape(2, *lead, size)
+
+
+def _unpack_planes(planes: np.ndarray, m: int) -> np.ndarray:
+    """The (..., m) symbols of packed (2, ..., size) uint8 planes."""
+    bits = np.unpackbits(planes, axis=-1, count=m, bitorder="little")
+    return bits[0] | bits[1] << 1
+
+
+def _plane_multiples(p0, p1):
+    """1, w and w^2 times the plane pair (p0, p1), as three plane pairs.
+
+    The planes are Python ints or numpy words alike.
+    """
+    mixed = p0 ^ p1
+    return (p0, p1), (p1, mixed), (mixed, p0)

@@ -2,10 +2,10 @@
 
 Matrices are numpy uint8 arrays with values in {0, 1, 2, 3}; products work
 through the tables in :mod:`hlcd4.gf4`, and row reduction on each row's two
-bit planes held as Python ints.  Row reduction picks the first nonzero entry
-scanning top-to-bottom in the leftmost unresolved column, so the reduced
-form is deterministic and serves as the canonical representative for code
-equality.
+bit planes, packed as in :mod:`hlcd4.gf4` and held as Python ints.  Row
+reduction picks the first nonzero entry scanning top-to-bottom in the
+leftmost unresolved column, so the reduced form is deterministic and serves
+as the canonical representative for code equality.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .gf4 import CONJ, MUL
+from .gf4 import CONJ, MUL, _pack_planes, _plane_multiples, _unpack_planes
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,14 +54,12 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """
     m = np.asarray(m, dtype=np.uint8)
     rows, cols = m.shape
-    size = -(-cols // 8)
-    # Each row is two Python ints, its low and high bit planes, column j at
-    # bit j; scaling by w or w^2 permutes and mixes the planes as in
-    # :mod:`hlcd4.code`.
-    lo, hi = (
-        [int.from_bytes(p, "little") for p in np.packbits(plane, axis=1, bitorder="little")]
-        for plane in (m & 1, m >> 1)
-    )
+    size = -(-cols // 8) or 1
+    # Each row is two Python ints, its packed low and high bit planes
+    # (:mod:`hlcd4.gf4`), column j at bit j.
+    packed = _pack_planes(m, size).tobytes()
+    ints = [int.from_bytes(packed[i : i + size], "little") for i in range(0, len(packed), size)]
+    lo, hi = ints[:rows], ints[rows:]
     pivots: list[int] = []
     for r in range(rows):
         # Rows from r on are zero in every unresolved column left of the
@@ -74,12 +72,13 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         bit = rest & -rest
         p = next(i for i in range(r, rows) if (lo[i] | hi[i]) & bit)
         lo[r], lo[p], hi[r], hi[p] = lo[p], lo[r], hi[p], hi[r]
-        # 1, w and w^2 times the pivot row, scaled first to a leading 1.
-        a, b = lo[r], hi[r]
-        if b & bit:
-            a, b = (a ^ b, a) if not a & bit else (b, a ^ b)
-        multiples = ((a, b), (b, a ^ b), (a ^ b, a))
-        lo[r], hi[r] = a, b
+        # The leading entry is w^(lead - 1).  Rotated by it, multiples[f - 1]
+        # is w^(f - 1) times the pivot row scaled to a leading 1, which
+        # clears an entry f = w^(f - 1) in the pivot column.
+        lead = bool(lo[r] & bit) | bool(hi[r] & bit) << 1
+        multiples = _plane_multiples(lo[r], hi[r])
+        multiples = multiples[1 - lead :] + multiples[: 1 - lead]
+        lo[r], hi[r] = multiples[0]
         for i in range(rows):
             f = bool(lo[i] & bit) | bool(hi[i] & bit) << 1
             if f and i != r:
@@ -90,8 +89,7 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     planes = np.frombuffer(
         b"".join(p.to_bytes(size, "little") for p in lo + hi), dtype=np.uint8
     ).reshape(2, rows, size)
-    R = np.unpackbits(planes, axis=2, count=cols, bitorder="little")
-    return R[0] | R[1] << 1, pivots
+    return _unpack_planes(planes, cols), pivots
 
 
 def rank(m: np.ndarray) -> int:

@@ -56,6 +56,12 @@ class BoundsEntry:
         return self.lower == self.upper
 
 
+# The bounds CSV's columns and how each value parses.
+_COLUMNS = [(name, int) for name in ("n", "k", "lower", "upper")] + [
+    ("flags", lambda text: frozenset(Flag(c) for c in text.strip()))
+]
+
+
 class BoundsTable:
     """Map (n, k) -> BoundsEntry with validated coverage."""
 
@@ -74,18 +80,26 @@ class BoundsTable:
 
     @classmethod
     def from_csv_text(cls, text: str) -> "BoundsTable":
+        """Parse the CSV form (columns n, k, lower, upper, flags).
+
+        Raises:
+            ValueError: naming the CSV line and field of a missing or
+                unparsable value, or from the coverage checks.
+        """
         entries = {}
         reader = csv.DictReader(text.splitlines())
         for row in reader:
-            n, k = int(row["n"]), int(row["k"])
-            flags = frozenset(Flag(c) for c in row["flags"].strip())
-            entries[(n, k)] = BoundsEntry(
-                n=n,
-                k=k,
-                lower=int(row["lower"]),
-                upper=int(row["upper"]),
-                flags=flags,
-            )
+            values = []
+            for name, parse in _COLUMNS:
+                value = row.get(name)
+                try:
+                    values.append(parse(value))
+                except (AttributeError, TypeError, ValueError):
+                    problem = "missing" if value is None else f"bad value {value!r}"
+                    where = f"bounds CSV line {reader.line_num}, field {name!r}"
+                    raise ValueError(f"{where}: {problem}") from None
+            n, k, lower, upper, flags = values
+            entries[(n, k)] = BoundsEntry(n=n, k=k, lower=lower, upper=upper, flags=flags)
         return cls(entries)
 
     @classmethod

@@ -290,14 +290,13 @@ def orthonormalize(code: LinearCode) -> np.ndarray:
             if i:
                 W[[step, step + i]] = W[[step + i, step]]
         else:
-            pairs = np.nonzero(g)
-            if pairs[0].size == 0:
-                raise NotLcdError("residual Gram matrix vanished")
-            i, j = int(pairs[0][0]), int(pairs[1][0])
-            lam = MUL[OMEGA2, g[i, j]]
-            W[step + i] = block[i] ^ MUL[lam, block[j]]
-            if i:
-                W[[step, step + i]] = W[[step + i, step]]
+            # A nonsingular Gram matrix has no zero row, so row 0 has a
+            # partner j with a nonzero product.
+            partners = np.flatnonzero(g[0])
+            if partners.size == 0:
+                raise NotLcdError("residual Gram matrix is singular")
+            j = int(partners[0])
+            W[step] ^= MUL[MUL[OMEGA2, g[0, j]], block[j]]
         v = W[step]
         rest = W[step + 1 :]
         ips = linalg.multiply(rest, linalg.conj_transpose(v[None, :]))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -274,6 +275,18 @@ def test_search_cli_not_reached(capsys):
     assert err["candidates_tried"] == 64
 
 
+def test_search_cli_axy_preconditions(tmp_path, capsys):
+    # the update needs k < n and an LCD base; both are domain errors
+    args = ["search", "--target-d", "2", "--seed", "1", "--strategy", "axy"]
+    assert cli.main(args + ["--n", "6", "--k", "6"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PreconditionError" and "k < n" in err["message"]
+    base = write_code(tmp_path / "hull.code", code_with_hull(np.random.default_rng(1), 6, 1))
+    assert cli.main(args + ["--n", "12", "--k", "6", "--base", base]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "PreconditionError", "message": "base code is not LCD"}
+
+
 def test_verify_table_cli(tmp_path, capsys):
     results = tmp_path / "results"
     results.mkdir()
@@ -311,6 +324,25 @@ def test_verify_table_names_the_bad_file(tmp_path, capsys):
         assert err["file"] == "b_bad.code"
         assert {key: err[key] for key in ("line", "column") if key in err} == fields
     assert err["error"] == "RankDeficientError"
+
+
+def test_verify_table_reports_bad_bounds_csv(tmp_path, capsys):
+    # a short row, a missing column and a non-integer value each exit 1
+    # with a JSON error naming the CSV line and field
+    results = tmp_path / "results"
+    results.mkdir()
+    shipped = resources.files("hlcd4").joinpath("data/d4_bounds.csv").read_text().splitlines()
+    bounds = tmp_path / "bounds.csv"
+    for rows, message in (
+        (shipped[:3] + ["12,6,5"] + shipped[4:], "line 4, field 'upper': missing"),
+        ([row.rsplit(",", 1)[0] for row in shipped], "line 2, field 'flags': missing"),
+        (shipped[:3] + ["12,6,five,6,"] + shipped[4:], "line 4, field 'lower': bad value 'five'"),
+    ):
+        bounds.write_text("\n".join(rows) + "\n")
+        argv = ["verify-table", "--results", str(results), "--bounds", str(bounds)]
+        assert cli.main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"bounds CSV {message}"}
 
 
 def test_verify_table_needs_directory(tmp_path, capsys):

@@ -203,7 +203,8 @@ def _light_reference(a: np.ndarray) -> np.ndarray:
 
 def _row_multiples_reference(a):
     """Rows packed by an integer product of the uint64 bit planes with a
-    placement matrix, one word type chosen from the data (one word only)."""
+    placement matrix, one word type chosen from the data (one word only);
+    the multiples formed plane by plane, batch axes moved last."""
     if a.shape[-1] == 0:
         a = np.zeros(a.shape[:-1] + (1,), dtype=np.uint8)
     cols = np.arange(a.shape[-1])
@@ -212,14 +213,17 @@ def _row_multiples_reference(a):
     p = (np.stack([a & 1, a >> 1]) @ place).swapaxes(-1, -2)
     if p.shape[-2] == 1:
         p = p.astype(np.min_scalar_type(int(p.max())))
-    m = np.stack([p[0], p[1], p[0] ^ p[1], p[0]], axis=-1)
-    return m[..., :3], m[..., 1:]
+    x = p[0] ^ p[1]
+    m = np.stack([np.stack([p[0], p[1], x], axis=-1), np.stack([p[1], x, p[0]], axis=-1)])
+    batch = a.ndim - 2
+    return np.moveaxis(m, range(1, 1 + batch), range(-batch, 0))
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129])
 def test_row_multiples_match_matmul_packing(rng, m):
     # one word type per width of m: uint8 up to 8 columns, uint16 up to 16,
-    # uint32 up to 32, uint64 words above
+    # uint32 up to 32, uint64 words above; both planes on the first axis and
+    # the batch axes last
     word = np.dtype(f"uint{next((bits for bits in (8, 16, 32) if m <= bits), 64)}")
     for shape in ((5, m), (3, 4, m), (2, 3, 1, m), (1, 6, m)):
         a = rng.integers(0, 4, size=shape, dtype=np.uint8)
@@ -227,14 +231,14 @@ def test_row_multiples_match_matmul_packing(rng, m):
         a[..., 0, :] = 0
         a[..., -1, :] = 3
         got = _row_multiples(a)
-        for plane, want in zip(got, _row_multiples_reference(a)):
-            assert plane.shape == want.shape == shape[:-2] + (max(1, -(-m // 64)), shape[-2], 3)
-            assert plane.dtype == word
-            assert np.array_equal(plane.astype(np.uint64), want.astype(np.uint64))
+        want = _row_multiples_reference(a)
+        assert got.shape == want.shape == (2, max(1, -(-m // 64)), shape[-2], 3) + shape[:-2]
+        assert got.dtype == word
+        assert np.array_equal(got.astype(np.uint64), want.astype(np.uint64))
         # a strided input packs the same
         if m > 1:
             wide = np.repeat(a, 2, axis=-1)[..., ::2]
-            assert all(np.array_equal(x, y) for x, y in zip(_row_multiples(wide), got))
+            assert np.array_equal(_row_multiples(wide), got)
 
 
 def test_light_survivors_match_reference(rng, monkeypatch):

@@ -1,5 +1,7 @@
 """Exhaustive checks of the field tables and vector helpers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,44 @@ def test_hermitian_inner_edge_cases():
     assert gf4.hermitian_inner(np.array([], dtype=np.uint8), np.array([], dtype=np.uint8)) == 0
     with pytest.raises(LengthMismatchError):
         gf4.hermitian_inner(gf4.vector("1"), gf4.vector("11"))
+
+
+# --- the packed bit-plane format -------------------------------------------
+
+
+def test_plane_multiples_match_mul():
+    # every symbol times every factor 1, w, w^2: on the planes of one symbol
+    # as Python ints, and on all four symbols packed into one byte per plane
+    for a in ELTS:
+        for f, (p0, p1) in zip((1, 2, 3), gf4._plane_multiples(a & 1, a >> 1)):
+            assert (p0 | p1 << 1) == gf4.mul(f, a)
+    symbols = np.arange(4, dtype=np.uint8)
+    planes = gf4._pack_planes(symbols, 1)
+    for f, pair in zip((1, 2, 3), gf4._plane_multiples(planes[0], planes[1])):
+        assert all(p.dtype == np.uint8 for p in pair)
+        assert gf4._unpack_planes(np.stack(pair), 4).tolist() == gf4.MUL[f].tolist()
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 64, 65, 129])
+def test_pack_planes_round_trip(rng, m):
+    # symbol j at bit j % 8 of byte j // 8 of each plane, zero padding to
+    # the requested size, and unpacking restores the symbols, with and
+    # without leading batch axes
+    for batch in ((), (3,), (2, 3)):
+        a = rng.integers(0, 4, size=batch + (m,), dtype=np.uint8)
+        for size in (-(-m // 8), -(-m // 8) + 3):
+            planes = gf4._pack_planes(a, size)
+            assert planes.shape == (2,) + batch + (size,) and planes.dtype == np.uint8
+            assert np.array_equal(gf4._unpack_planes(planes, m), a)
+            for index in np.ndindex(batch):
+                lo, hi = (int.from_bytes(p[index].tobytes(), "little") for p in planes)
+                assert lo == sum(int(s & 1) << j for j, s in enumerate(a[index]))
+                assert hi == sum(int(s >> 1) << j for j, s in enumerate(a[index]))
+
+
+def test_packing_has_one_owner():
+    # the packed format is written once, here: no other module packs or
+    # unpacks bits on its own ("packbits" also matches "unpackbits")
+    sources = Path(gf4.__file__).parent.glob("*.py")
+    others = [p.name for p in sources if p.name != "gf4.py" and "packbits" in p.read_text()]
+    assert others == []

@@ -89,6 +89,12 @@ def test_axy_rejects_bad_inputs(rng):
         axy_construct(std, from_symbols("0"), from_symbols("1"))
     with pytest.raises(IsotropyError):
         axy_construct(std, from_symbols("1"), from_symbols("w"))
+    # k = n leaves no columns to update, whatever the pair
+    full = LinearCode(linalg.identity(3))
+    with pytest.raises(NotStandardFormError, match="k < n"):
+        axy_construct(full, from_symbols("1"), from_symbols("1"))
+    with pytest.raises(NotStandardFormError, match="k < n"):
+        axy_construct(full, IsotropicPair(from_symbols("11"), from_symbols("11")))
 
 
 def test_axy_with_equal_vectors_is_identity(rng):
