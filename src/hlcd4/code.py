@@ -9,17 +9,19 @@ Minimum weight comes from one engine.  Scalar multiples of a codeword share
 its weight, so only messages whose first nonzero symbol is 1 are visited.
 Codewords are packed into the two bit planes of :mod:`hlcd4.gf4`, W =
 ceil(n/64) machine words each, carried on one array axis; the weight is the
-popcount summed over the words.  One table of the packed rows' 1, w and w^2
-multiples feeds both weight enumerators, at every length: the engine, and
-the batched light test of search, which runs the messages of weight 1, 2
-and 3 in turn and drops the codes each part rejects before the next.  The engine, ``_min_weight``,
-is one loop: it enumerates messages by weight over several information sets
-(Brouwer-Zimmermann) and stops once a lower bound on the weight of every
-codeword not yet seen meets the best weight found, at the cutoff, or at the
-enumeration budget, which counts the codewords enumerated.  An independent
-oracle counts the weight of every codeword from scratch, of the code itself
-for k <= 10 or of its Hermitian dual for n - k <= 10 (then transformed by the
-MacWilliams identity), for cross-checking.
+popcount summed over the words.  One table layout of the packed rows' 1, w
+and w^2 multiples feeds both weight enumerators, at every length: the
+engine, and the batched light test of search, which runs the messages of
+weight 1, 2 and 3 in turn and drops the codes each part rejects before the
+next.  The engine, ``_min_weight``, is one loop: it enumerates messages by
+weight over several information sets (Brouwer-Zimmermann), each built by
+one packed elimination (``linalg._eliminate``, shared with row reduction),
+and stops once a lower bound on the weight of every codeword not yet seen
+meets the best weight found, at the cutoff, or at the enumeration budget,
+which counts the codewords enumerated.  An independent oracle counts the
+weight of every codeword from scratch, of the code itself for k <= 10 or of
+its Hermitian dual for n - k <= 10 (then transformed by the MacWilliams
+identity), for cross-checking.
 """
 
 from __future__ import annotations
@@ -34,7 +36,18 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceededError, RankDeficientError, TooLargeError
-from .gf4 import CONJ, MUL, _pack_planes, _plane_multiples, from_symbols, to_symbols
+from .gf4 import (
+    CONJ,
+    MUL,
+    _from_ints,
+    _pack_planes,
+    _plane_multiples,
+    _stride,
+    _to_ints,
+    _word_type,
+    from_symbols,
+    to_symbols,
+)
 
 
 # Codeword budget for weight computations whose caller did not ask for an
@@ -86,6 +99,7 @@ class LinearCode:
         if len(pivots) != k:
             raise RankDeficientError(f"generator matrix has rank {len(pivots)}, expected {k}")
         self._canonical = R
+        self._pivots = pivots
         self._gen = gen.copy()
         self._gen.setflags(write=False)
         self._canonical.setflags(write=False)
@@ -146,9 +160,11 @@ class LinearCode:
 
         A vector x satisfies (x, y)_h = 0 for all rows y of G exactly when
         conj(G) x^T = 0, so the dual is the kernel of the conjugated
-        generator matrix.
+        generator matrix.  Conjugation is a field automorphism, so the
+        reduced form of conj(G) is the conjugated canonical form, with the
+        same pivots: the basis needs no second reduction.
         """
-        return LinearCode(linalg.kernel(CONJ[self._gen]))
+        return LinearCode(linalg._null_basis(CONJ[self._canonical], self._pivots))
 
     def hull_dim(self) -> int:
         """Dimension of the intersection with the Hermitian dual.
@@ -295,9 +311,11 @@ def _macwilliams(dual_counts: list[int], n: int) -> list[int]:
 # Packed bit planes and the row-multiples table (the hot path).
 #
 # A codeword is its two packed bit planes (:mod:`hlcd4.gf4`), each W words
-# long, held on the first axis of one array.  ``_row_multiples`` is the one
-# place that packs rows and forms their multiples; the light test and the
-# information sets both read from its table, at every length.
+# long, held on the first axis of one array.  Both weight enumerators read a
+# table of the packed rows' 1, w and w^2 multiples, in one layout at every
+# length: ``_row_multiples`` packs the light test's batch of A blocks into
+# it, and each information set writes its reduced planes into it (see
+# ``_information_sets``).
 
 
 # Codewords per enumerated chunk, and the largest layer an information set
@@ -310,13 +328,13 @@ def _row_multiples(a: np.ndarray) -> np.ndarray:
 
     ``a`` is (..., k, m), with any leading batch axes, which the table
     carries last, so a copy runs over contiguous lanes; W = ceil(m / 64)
-    and column j is bit j % 64 of word j // 64.  The word type is the
-    narrowest unsigned type that holds m bits when m <= 64, and uint64
-    above; a zero column stands in when there are none (k = n).
+    and column j is bit j % 64 of word j // 64, a word of
+    ``gf4._word_type(m)``.  A zero column stands in when there are none
+    (k = n).
     """
     *batch, k, m = a.shape
     lanes = prod(batch)
-    word = np.dtype(f"<u{np.min_scalar_type((1 << min(m, 64)) - 1).itemsize}")
+    word = _word_type(m)
     words = -(-m // 64) or 1
     p = _pack_planes(a.reshape(lanes, k, m), word.itemsize * words).view(word)
     # Batch last, then both planes of the three multiples in one stack.
@@ -406,6 +424,18 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
 # own columns; those are disjoint, so its weight is at least the sum over
 # j of max(0, v_j + 1 - (k - r_j)).  The enumeration stops as soon as that
 # lower bound reaches the best weight seen.
+#
+# The sets never leave the packed planes.  The generator is packed once, as
+# one Python int per plane; each set is one elimination that starts from
+# the previous set's reduced planes and pivots on the unused columns first,
+# then on the used ones in column order.  The reduced form is unique for a
+# column order, so G_j is the same however it is reached.  Borrowing in
+# column order takes only columns of the first set, each the first that
+# raises the rank, as taking the first set's columns before the others
+# would: any other column depends on the first set's columns to its left.
+# A_j is G_j with its pivot bits cleared: its columns stay where they are,
+# which no weight sees, unless n needs more words than n - k columns do;
+# then they move down into ceil((n - k) / 64) words.
 
 
 class _Weight(NamedTuple):
@@ -443,19 +473,50 @@ class _InfoSet:
 def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
     """Greedy information sets of a full-rank generator, in order of use."""
     k, n = gen.shape
-    unused, used = list(range(n)), []
+    stride = _stride(n)
+    lo, hi = _to_ints(_pack_planes(gen, stride // 8))
+    # A 1 at bit 0 of every row.
+    ones = ((1 << stride * k) - 1) // ((1 << stride) - 1)
+    words = -(-(n - k) // 64) or 1
+    unused = (1 << n) - 1
     sets = []
     while unused:
-        order = unused + used
-        reduced, pivots = linalg.rref(gen[:, order])
-        fresh = [order[p] for p in pivots if p < len(unused)]
+        lo, hi, pivots = linalg._eliminate(lo, hi, k, stride, unused)
+        taken = sum(1 << c for c in pivots)
+        fresh = taken & unused
         if not fresh:
             break
-        rows = _row_multiples(np.delete(reduced, pivots, axis=1))
-        sets.append(_InfoSet(k - len(fresh), rows, rows[..., 0]))
-        used += fresh
-        unused = [c for c in unused if c not in fresh]
+        free = (1 << n) - 1 ^ taken
+        if words < -(-n // 64):
+            a = [_compact(x, free, ones) for x in (lo, hi)]
+        else:
+            a = [x & free * ones for x in (lo, hi)]
+        # Both planes of the three multiples of every row at once, as
+        # (2, 3, k, W) words, laid out as (2, W, k, 3).
+        multiples = [x for plane in zip(*_plane_multiples(*a)) for x in plane]
+        rows = _from_ints(multiples, k, n)[..., :words].reshape(2, 3, k, words)
+        rows = np.ascontiguousarray(rows.transpose(0, 3, 2, 1))
+        sets.append(_InfoSet(k - fresh.bit_count(), rows, rows[..., 0]))
+        unused ^= fresh
     return sets
+
+
+def _compact(x: int, free: int, ones: int) -> int:
+    """The bits of ``free`` in every row of packed plane ``x`` moved down
+    to the lowest bits of the row, in order; the other bits dropped.
+
+    ``ones`` has a 1 at bit 0 of every row, so each run of consecutive
+    free columns moves in all rows at once.
+    """
+    out, low = 0, 0
+    while free:
+        start = (free & -free).bit_length() - 1
+        run = free >> start
+        length = (run + 1 & ~run).bit_length() - 1
+        out |= x >> start - low & ones * ((1 << length) - 1 << low)
+        free ^= (1 << length) - 1 << start
+        low += length
+    return out
 
 
 def _layer_size(k: int, v: int) -> int:

@@ -12,12 +12,16 @@ engine) work on one packed format, owned by this module.  A vector splits
 into two bit planes, the low bits a0 and the high bits a1 of its symbols;
 symbol j is bit j % 8 of byte j // 8 of each plane (little-endian bit
 order), so the bytes read as little-endian words or Python ints put symbol
-j at bit j.  The weight is the popcount of p0 | p1.  Scaling permutes and
+j at bit j.  Rows padded to whole words and read together as one Python
+int put row i at bit i times the row's padded width.  The weight is the
+popcount of p0 | p1.  Scaling permutes and
 mixes the planes, word by word: 1 * (p0, p1) = (p0, p1),
 w * (p0, p1) = (p1, p0 ^ p1) and w^2 * (p0, p1) = (p0 ^ p1, p0).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -108,6 +112,13 @@ def hermitian_inner(x: np.ndarray, y: np.ndarray) -> int:
     return int(np.bitwise_xor.reduce(MUL[x, CONJ[y]]))
 
 
+@functools.cache
+def _word_type(m: int) -> np.dtype:
+    """The narrowest little-endian unsigned word that holds m bits when
+    m <= 64, and uint64 above."""
+    return np.dtype(f"<u{np.min_scalar_type((1 << min(m, 64)) - 1).itemsize}")
+
+
 def _pack_planes(a: np.ndarray, size: int) -> np.ndarray:
     """The packed (2, ..., size) uint8 planes of the rows of ``a`` (..., m).
 
@@ -128,9 +139,30 @@ def _pack_planes(a: np.ndarray, size: int) -> np.ndarray:
 
 
 def _unpack_planes(planes: np.ndarray, m: int) -> np.ndarray:
-    """The (..., m) symbols of packed (2, ..., size) uint8 planes."""
-    bits = np.unpackbits(planes, axis=-1, count=m, bitorder="little")
+    """The (..., m) symbols of packed (2, ..., W) planes of any word type."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, count=m, bitorder="little")
     return bits[0] | bits[1] << 1
+
+
+def _stride(m: int) -> int:
+    """Bits per packed row of m symbols: W = ceil(m / 64) words of
+    ``_word_type(m)``, one when m = 0."""
+    return 8 * _word_type(m).itemsize * (-(-m // 64) or 1)
+
+
+def _to_ints(planes: np.ndarray) -> tuple[int, ...]:
+    """Each plane of packed (2, rows, ...) planes as one Python int: its
+    bytes in memory order, so row i starts at bit i times the row's bits."""
+    return tuple(int.from_bytes(plane.tobytes(), "little") for plane in planes)
+
+
+def _from_ints(planes, rows: int, m: int) -> np.ndarray:
+    """The packed (len(planes), rows, W) words of ``_word_type(m)`` of
+    planes held as Python ints, row i at bit ``_stride(m) * i``."""
+    word = _word_type(m)
+    size = _stride(m) // 8
+    data = b"".join(plane.to_bytes(rows * size, "little") for plane in planes)
+    return np.frombuffer(data, dtype=word).reshape(len(planes), rows, size // word.itemsize)
 
 
 def _plane_multiples(p0, p1):

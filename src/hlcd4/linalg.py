@@ -1,11 +1,14 @@
 """Dense matrices over the four-element field.
 
 Matrices are numpy uint8 arrays with values in {0, 1, 2, 3}; products work
-through the tables in :mod:`hlcd4.gf4`, and row reduction on each row's two
-bit planes, packed as in :mod:`hlcd4.gf4` and held as Python ints.  Row
-reduction picks the first nonzero entry scanning top-to-bottom in the
-leftmost unresolved column, so the reduced form is deterministic and serves
-as the canonical representative for code equality.
+through the tables in :mod:`hlcd4.gf4`.  Row reduction has one eliminator,
+``_eliminate``, shared by ``rref`` and the minimum-weight engine's
+information sets: it works on the matrix's two bit planes, packed as in
+:mod:`hlcd4.gf4`, each held as one Python int, and clears a pivot column
+in every row with a few whole-matrix integer operations.  Row reduction
+picks the first nonzero entry scanning top-to-bottom in the leftmost
+unresolved column, so the reduced form is deterministic and serves as the
+canonical representative for code equality.
 """
 
 from __future__ import annotations
@@ -15,7 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .gf4 import CONJ, MUL, _pack_planes, _plane_multiples, _unpack_planes
+from .gf4 import (
+    CONJ,
+    MUL,
+    _from_ints,
+    _pack_planes,
+    _plane_multiples,
+    _stride,
+    _to_ints,
+    _unpack_planes,
+)
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,6 +56,70 @@ def gram(g: np.ndarray) -> np.ndarray:
     return multiply(g, conj_transpose(g))
 
 
+def _eliminate(lo: int, hi: int, rows: int, stride: int, first: int) -> tuple[int, int, list[int]]:
+    """Reduced row echelon form of a packed matrix, and its pivot columns.
+
+    The matrix is its two bit planes, each one Python int, packed as in
+    :mod:`hlcd4.gf4` with row i at bit ``stride * i`` (column j of the row
+    at bit j).  Pivots are taken from the columns of the mask ``first`` in
+    ascending order, then from the other columns: the result is the
+    reduced form of the matrix with its columns in that order, unique
+    whatever basis of the row space comes in.  Pivot rows come first, in
+    pivot order.  Returns the reduced planes and the pivots.
+    """
+    row = (1 << stride) - 1
+    # A 1 at bit 0 of every row, and of every row not yet a pivot row.
+    ones = ((1 << stride * rows) - 1) // row
+    later = ones
+    pivots: list[int] = []
+    for mask in (first, row ^ first):
+        while mask and later:
+            bit = mask & -mask
+            c = bit.bit_length() - 1
+            # The later rows nonzero in column c, by the first bit of each.
+            either = (lo | hi) >> c & later
+            if not either:
+                # The columns of the mask below the next pivot are zero in
+                # the later rows: the next pivot is the lowest column of the
+                # mask set in their union, folded into one row.
+                left = rows - len(pivots)
+                rest = (lo | hi) >> stride * len(pivots)
+                while left > 1:
+                    left = (left + 1) // 2
+                    rest = (rest | rest >> stride * left) & (1 << stride * left) - 1
+                rest &= mask
+                if not rest:
+                    break
+                bit = rest & -rest
+                c = bit.bit_length() - 1
+                either = (lo | hi) >> c & later
+            # Rows p (the first later row nonzero in column c) and r, by
+            # their first bits.
+            sp = (either & -either).bit_length() - 1
+            sr = stride * len(pivots)
+            # The pivot's leading entry is w^(lead - 1).  Rotated by it, the
+            # multiples of row p give a = the row scaled to a leading 1 and
+            # b = w a, so a row with entry e0 + e1 w in column c clears it
+            # by adding e0 a + e1 b.
+            p0, p1 = lo >> sp & row, hi >> sp & row
+            multiples = _plane_multiples(p0, p1)
+            i = (1 - ((p0 >> c & 1) | (p1 >> c & 1) << 1)) % 3
+            (a0, a1), (b0, b1) = multiples[i], multiples[i - 2]
+            # Every row at once: a row's entry bits times a multiple land on
+            # that row alone.  This zeroes row p too.
+            e0, e1 = lo >> c & ones, hi >> c & ones
+            lo ^= e0 * a0 ^ e1 * b0
+            hi ^= e0 * a1 ^ e1 * b1
+            # Row r moves to row p, and a to row r.
+            r0, r1 = lo >> sr & row, hi >> sr & row
+            lo ^= r0 << sp ^ (r0 ^ a0) << sr
+            hi ^= r1 << sp ^ (r1 ^ a1) << sr
+            pivots.append(c)
+            mask &= -(bit << 1)
+            later &= later - 1
+    return lo, hi, pivots
+
+
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form.
 
@@ -54,46 +130,30 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """
     m = np.asarray(m, dtype=np.uint8)
     rows, cols = m.shape
-    size = -(-cols // 8) or 1
-    # Each row is two Python ints, its packed low and high bit planes
-    # (:mod:`hlcd4.gf4`), column j at bit j.
-    packed = _pack_planes(m, size).tobytes()
-    ints = [int.from_bytes(packed[i : i + size], "little") for i in range(0, len(packed), size)]
-    lo, hi = ints[:rows], ints[rows:]
-    pivots: list[int] = []
-    for r in range(rows):
-        # Rows from r on are zero in every unresolved column left of the
-        # next pivot, so that column is the lowest bit set in any of them.
-        rest = 0
-        for i in range(r, rows):
-            rest |= lo[i] | hi[i]
-        if not rest:
-            break
-        bit = rest & -rest
-        p = next(i for i in range(r, rows) if (lo[i] | hi[i]) & bit)
-        lo[r], lo[p], hi[r], hi[p] = lo[p], lo[r], hi[p], hi[r]
-        # The leading entry is w^(lead - 1).  Rotated by it, multiples[f - 1]
-        # is w^(f - 1) times the pivot row scaled to a leading 1, which
-        # clears an entry f = w^(f - 1) in the pivot column.
-        lead = bool(lo[r] & bit) | bool(hi[r] & bit) << 1
-        multiples = _plane_multiples(lo[r], hi[r])
-        multiples = multiples[1 - lead :] + multiples[: 1 - lead]
-        lo[r], hi[r] = multiples[0]
-        for i in range(rows):
-            f = bool(lo[i] & bit) | bool(hi[i] & bit) << 1
-            if f and i != r:
-                a, b = multiples[f - 1]
-                lo[i] ^= a
-                hi[i] ^= b
-        pivots.append(bit.bit_length() - 1)
-    planes = np.frombuffer(
-        b"".join(p.to_bytes(size, "little") for p in lo + hi), dtype=np.uint8
-    ).reshape(2, rows, size)
-    return _unpack_planes(planes, cols), pivots
+    stride = _stride(cols)
+    planes = _to_ints(_pack_planes(m, stride // 8))
+    *planes, pivots = _eliminate(*planes, rows, stride, (1 << cols) - 1)
+    return _unpack_planes(_from_ints(planes, rows, cols), cols), pivots
 
 
 def rank(m: np.ndarray) -> int:
     return len(rref(m)[1])
+
+
+def _null_basis(r: np.ndarray, pivots) -> np.ndarray:
+    """Basis (as rows) of the right null space of a reduced form ``r``
+    with pivot columns ``pivots``.
+
+    Row i holds a 1 in the i-th free column f, in ascending order, and
+    r[l, f] in pivot column ``pivots[l]``.
+    """
+    cols = r.shape[1]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = r[: len(pivots), free].T
+    return basis
 
 
 def kernel(m: np.ndarray) -> np.ndarray:
@@ -102,14 +162,7 @@ def kernel(m: np.ndarray) -> np.ndarray:
     Returns a (c - rank) x c matrix where c = m.shape[1]; rows come from the
     free columns of the reduced form in ascending column order.
     """
-    cols = m.shape[1]
-    R, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = R[: len(pivots), free].T
-    return basis
+    return _null_basis(*rref(m))
 
 
 @dataclass(frozen=True)

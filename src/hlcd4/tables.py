@@ -84,7 +84,8 @@ class BoundsTable:
 
         Raises:
             ValueError: naming the CSV line and field of a missing or
-                unparsable value, or from the coverage checks.
+                unparsable value, or the line of a repeated (n, k), or
+                from the coverage checks.
         """
         entries = {}
         reader = csv.DictReader(text.splitlines())
@@ -99,6 +100,8 @@ class BoundsTable:
                     where = f"bounds CSV line {reader.line_num}, field {name!r}"
                     raise ValueError(f"{where}: {problem}") from None
             n, k, lower, upper, flags = values
+            if (n, k) in entries:
+                raise ValueError(f"bounds CSV line {reader.line_num}: duplicate entry ({n},{k})")
             entries[(n, k)] = BoundsEntry(n=n, k=k, lower=lower, upper=upper, flags=flags)
         return cls(entries)
 

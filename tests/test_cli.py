@@ -328,7 +328,8 @@ def test_verify_table_names_the_bad_file(tmp_path, capsys):
 
 def test_verify_table_reports_bad_bounds_csv(tmp_path, capsys):
     # a short row, a missing column and a non-integer value each exit 1
-    # with a JSON error naming the CSV line and field
+    # with a JSON error naming the CSV line and field; a repeated (n, k),
+    # the line
     results = tmp_path / "results"
     results.mkdir()
     shipped = resources.files("hlcd4").joinpath("data/d4_bounds.csv").read_text().splitlines()
@@ -337,6 +338,7 @@ def test_verify_table_reports_bad_bounds_csv(tmp_path, capsys):
         (shipped[:3] + ["12,6,5"] + shipped[4:], "line 4, field 'upper': missing"),
         ([row.rsplit(",", 1)[0] for row in shipped], "line 2, field 'flags': missing"),
         (shipped[:3] + ["12,6,five,6,"] + shipped[4:], "line 4, field 'lower': bad value 'five'"),
+        (shipped + ["12,4,3,9,"], "line 268: duplicate entry (12,4)"),
     ):
         bounds.write_text("\n".join(rows) + "\n")
         argv = ["verify-table", "--results", str(results), "--bounds", str(bounds)]

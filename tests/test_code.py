@@ -19,7 +19,7 @@ from hlcd4.code import (
     min_weight_oracle,
 )
 from hlcd4.errors import BudgetExceededError, RankDeficientError, TooLargeError
-from hlcd4.gf4 import MUL
+from hlcd4.gf4 import CONJ, MUL
 
 from conftest import random_code, random_standard
 
@@ -91,6 +91,36 @@ def test_dual_edge_cases():
     assert full.hermitian_dual().k == 0
     zero = LinearCode(np.zeros((0, 4), dtype=np.uint8))
     assert zero.hermitian_dual() == full
+
+
+def test_dual_matches_kernel_of_conjugate(rng):
+    # The dual's basis comes from the conjugated canonical form; it is the
+    # kernel basis of the conjugated generator, byte for byte.
+    codes = [LinearCode(np.zeros((0, 4), dtype=np.uint8)), LinearCode(linalg.identity(4))]
+    for n in (1, 5, 12, 40, 70):
+        codes += [random_code(rng, n, k) for k in sorted({1, n // 2, n - 1, n} - {0})]
+    for c in codes:
+        want = LinearCode(linalg.kernel(CONJ[c.gen])).gen
+        got = c.hermitian_dual().gen
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_engine_and_summary_reuse_reductions(monkeypatch):
+    # The engine builds its information sets without ``linalg.rref``, and a
+    # summary reduces only twice: the dual's generator and the Gram matrix.
+    rng = np.random.default_rng(5)
+    codes = [random_standard(rng, n, k) for n, k in ((12, 8), (24, 4), (70, 11))]
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or rref(m))
+    for c in codes:
+        _min_weight(c.gen)
+        c.min_weight()
+        assert calls == []
+        c.summarize()
+        assert len(calls) <= 2
+        calls.clear()
 
 
 def test_hull_dim_matches_oracle(rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hlcd4 import gf4, linalg
 from hlcd4.errors import DimensionMismatchError, RankDeficientError
@@ -120,6 +122,33 @@ def test_rref_matches_naive(rng):
         expected, expected_pivots = naive_rref(m)
         assert R.dtype == np.uint8 and R.shape == m.shape
         assert np.array_equal(R, expected) and pivots == expected_pivots, (rows, cols)
+
+
+@st.composite
+def matrices(draw):
+    """A matrix of up to 12 rows and 70 columns, empty ones included, with
+    zeroed columns and repeated rows, so often rank deficient."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, 4, size=(rows, cols), dtype=np.uint8)
+    if rows and cols:
+        m[:, rng.random(cols) < draw(st.sampled_from([0, 0.3, 0.9]))] = 0
+        m[rng.integers(0, rows, size=draw(st.integers(0, rows)))] = m[rng.integers(0, rows)]
+    return m
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(matrices())
+@example(np.zeros((0, 0), dtype=np.uint8))
+@example(np.zeros((3, 0), dtype=np.uint8))
+@example(np.zeros((0, 5), dtype=np.uint8))
+@example(np.zeros((4, 6), dtype=np.uint8))
+def test_rref_commutes_with_conjugation(m):
+    # Conjugation is a field automorphism: it maps the reduced form to the
+    # reduced form of the conjugate, with the same pivots.
+    R, pivots = linalg.rref(m)
+    conj_R, conj_pivots = linalg.rref(gf4.CONJ[m])
+    assert np.array_equal(conj_R, gf4.CONJ[R]) and conj_pivots == pivots
 
 
 def test_rank_basics(rng):

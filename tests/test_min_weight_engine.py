@@ -15,7 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlcd4.code import LinearCode, _min_weight, min_weight_oracle
+from hlcd4 import linalg
+from hlcd4.code import (
+    LinearCode,
+    _information_sets,
+    _InfoSet,
+    _layer_weights,
+    _min_weight,
+    _row_multiples,
+    min_weight_oracle,
+)
 from hlcd4.gf4 import MUL
 from hlcd4.search import elliptic_quadric_code, random_lcd
 
@@ -81,6 +90,77 @@ def test_engine_matches_oracle(gen):
         assert engine(gen, mode, budget=r.tried) == r, mode
         if r.tried > 1:
             assert engine(gen, mode, budget=r.tried - 1).stop == "budget", mode
+
+
+def information_sets_reference(gen):
+    """The information sets built from symbols: each set reduces the
+    generator with the unused columns first and the used ones after, in
+    the order they were taken, deletes the pivot columns and packs what is
+    left."""
+    k, n = gen.shape
+    unused, used = list(range(n)), []
+    sets = []
+    while unused:
+        order = unused + used
+        reduced, pivots = linalg.rref(gen[:, order])
+        fresh = [order[p] for p in pivots if p < len(unused)]
+        if not fresh:
+            break
+        rows = _row_multiples(np.delete(reduced, pivots, axis=1))
+        sets.append(_InfoSet(k - len(fresh), rows, rows[..., 0]))
+        used += fresh
+        unused = [c for c in unused if c not in fresh]
+    return sets
+
+
+@st.composite
+def edge_generators(draw):
+    """A full-rank generator with n <= 12 or 65 <= n <= 130, k = 1, n - 1,
+    n or up to 8, and zero and repeated columns, so later sets borrow."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(65, 130)))
+    edges = [k for k in (1, n - 1, n) if k >= 1 and (n <= 12 or k == 1)]
+    k = draw(st.one_of(st.sampled_from(edges), st.integers(1, min(n, 8))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.integers(0, n - k))
+    repeats = draw(st.integers(0, n - k - zeros))
+    gen = np.hstack([np.eye(k, dtype=np.uint8), rng.integers(0, 4, (k, n - k), dtype=np.uint8)])
+    gen[:, k : k + zeros] = 0
+    for j in range(k + zeros, k + zeros + repeats):
+        gen[:, j] = MUL[rng.integers(1, 4), gen[:, rng.integers(0, j)]]
+    return scramble(rng, gen)
+
+
+WIDE_RATE = [
+    scramble(np.random.default_rng(n), np.hstack([np.eye(k, dtype=np.uint8), a]))
+    for n, k, a in (
+        (66, 65, np.random.default_rng(1).integers(0, 4, (65, 1), dtype=np.uint8)),
+        (65, 65, np.zeros((65, 0), dtype=np.uint8)),
+    )
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(edge_generators())
+@example(K_ONE)
+@example(K_FULL)
+@example(LATE[0])
+@example(LATE[1])
+@example(WIDE_RATE[0])
+@example(WIDE_RATE[1])
+def test_information_sets_match_symbol_reference(gen):
+    # The same sets in the same order with the same deficits, and the same
+    # codeword weights in the same order for every message weight up to 3:
+    # only the order of the A_j columns may differ, which no weight sees.
+    got, want = _information_sets(gen), information_sets_reference(gen)
+    assert [s.deficit for s in got] == [s.deficit for s in want]
+    for g, w in zip(got, want):
+        assert g.rows.shape[:2] == w.rows.shape[:2]
+        for v in range(1, min(3, gen.shape[0]) + 1):
+            streams = [list(_layer_weights(g, v)), list(_layer_weights(w, v))]
+            assert len(streams[0]) == len(streams[1])
+            for a, b in zip(*streams):
+                assert np.array_equal(a, b)
+            assert g.kept == w.kept
 
 
 @PROPERTY

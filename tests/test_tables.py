@@ -1,5 +1,7 @@
 """Shipped bounds table and the isotropic-pair catalog."""
 
+from importlib import resources
+
 import pytest
 
 from hlcd4.errors import UnknownEntryError
@@ -76,6 +78,15 @@ def test_validation_rejects_bad_tables():
         BoundsTable.from_csv_text(header + bad)
     with pytest.raises(ValueError, match="outside"):
         BoundsTable.from_csv_text(header + good_rows + "11,4,1,2,\n")
+
+
+def test_duplicate_entry_is_rejected():
+    # a repeated (n, k) row names its line, whichever values it carries
+    text = resources.files("hlcd4").joinpath("data/d4_bounds.csv").read_text()
+    for row in ("12,4,3,9,", "12,4,7,7,"):
+        with pytest.raises(ValueError) as e:
+            BoundsTable.from_csv_text(text + row + "\n")
+        assert str(e.value) == "bounds CSV line 268: duplicate entry (12,4)"
 
 
 def test_load_from_path(tmp_path, table):
