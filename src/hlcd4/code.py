@@ -319,7 +319,8 @@ def _macwilliams(dual_counts: list[int], n: int) -> list[int]:
 
 
 # Codewords per enumerated chunk, and the largest layer an information set
-# keeps for the next message weight to extend.
+# keeps for the next message weight to extend.  A chunk spans as many tails
+# as fit; only a tail whose multiples alone are more is a larger chunk.
 _CHUNK = 1 << 13
 
 
@@ -436,6 +437,13 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
 # A_j is G_j with its pivot bits cleared: its columns stay where they are,
 # which no weight sees, unless n needs more words than n - k columns do;
 # then they move down into ceil((n - k) / 64) words.
+#
+# A step of the enumeration (one set, one message weight) writes its
+# codewords tail by tail into one chunk of up to ``_CHUNK`` codewords and
+# counts a chunk at a time: one OR, popcount and sum, and one round of
+# budget and limit checks, per chunk rather than per tail row.  Chunks
+# never span two steps, and where one ends changes neither the order of
+# the codewords nor where the enumeration stops.
 
 
 class _Weight(NamedTuple):
@@ -531,35 +539,55 @@ def _layer_weights(s: _InfoSet, v: int):
     A message splits into its ``s.kept`` first rows, whose codewords are the
     kept layer (leading coefficient 1), and its t = v - s.kept last rows,
     which take every coefficient; kept codewords whose rows all precede row
-    l form a prefix of the layer, C(l, kept) 3^(kept - 1) long.  With
-    t = 1 the chunks come out grouped by last row, so a layer of at most one
-    chunk becomes the kept layer once it has been enumerated.  At v = 1 the
-    kept layer is the whole message: t = 0 and the tail is the zero word.
+    l form a prefix of the layer, C(l, kept) 3^(kept - 1) long.  Tails come
+    in lexicographic order; each tail's 3^t multiples are XORed with its
+    prefix, cut into pieces of at most ``_CHUNK`` codewords, into one chunk
+    buffer, which is counted when the next piece would not fit.  So a chunk
+    spans as many tails as fit, and only a tail whose multiples alone exceed
+    ``_CHUNK`` makes chunks larger than that, one piece each.  With t = 1 a
+    layer of at most ``_CHUNK`` codewords is one chunk, and becomes the kept
+    layer once it has been enumerated.  At v = 1 the kept layer is the whole
+    message: t = 0 and the tail is the zero word.
     """
     _, words, k, _ = s.rows.shape
-    keep = s.kept == v - 1 and _layer_size(k, v) <= _CHUNK
-    kept = []
-    zero = np.zeros((2, words, 1), dtype=s.rows.dtype)
+    total = _layer_size(k, v)
+    keep = s.kept == v - 1 and total <= _CHUNK
+    # Every tail has 3^t multiples, so every prefix splits in the same step.
+    multiples = 3 ** (v - s.kept)
+    step = max(1, _CHUNK // multiples)
+    chunk = np.empty((2, words, min(total, max(_CHUNK, multiples))), dtype=s.rows.dtype)
+    layer = s.layer[:, :, None]
+    fill = 0
     for tail in itertools.combinations(range(k), v - s.kept):
         size = _layer_size(tail[0] if tail else k, s.kept)
         if not size:
             continue
-        t = s.rows[:, :, tail[0]] if tail else zero
+        t = s.rows[:, :, tail[0]] if tail else np.zeros((2, words, 1), dtype=chunk.dtype)
         for i in tail[1:]:
             t = (t[..., None] ^ s.rows[:, :, i, None]).reshape(2, words, -1)
         # The tail axis outermost, so each XOR runs over a long inner axis.
-        step = max(1, _CHUNK // t.shape[2])
+        t = t[..., None]
         for lo in range(0, size, step):
             hi = min(lo + step, size)
-            c = (t[..., None] ^ s.layer[:, :, None, lo:hi]).reshape(2, words, -1)
-            # Summed over the words, plus the message's own v nonzeros, in a
-            # type that cannot wrap.
-            yield np.bitwise_count(c[0] | c[1]).sum(axis=0, dtype=np.intp) + v
-            if keep:
-                kept.append(c)
+            end = fill + multiples * (hi - lo)
+            if end > chunk.shape[2]:
+                yield _weights(chunk[:, :, :fill], v)
+                fill, end = 0, end - fill
+            out = chunk[:, :, fill:end].reshape(2, words, multiples, hi - lo)
+            np.bitwise_xor(t, layer[..., lo:hi], out)
+            fill = end
+    yield _weights(chunk[:, :, :fill], v)
     if keep:
+        # The whole layer is the one chunk, which no later step writes.
         s.kept = v
-        s.layer = np.concatenate(kept, axis=2)
+        s.layer = chunk
+
+
+def _weights(c: np.ndarray, v: int) -> np.ndarray:
+    """The weights of (2, W, N) codewords of weight-v messages: the
+    message's own v nonzeros plus the popcount over the words, in a type
+    that cannot wrap."""
+    return np.bitwise_count(c[0] | c[1]).sum(axis=0, dtype=np.intp, initial=v)
 
 
 def _schedule(k: int, deficits: list[int]):
@@ -595,7 +623,12 @@ def _min_weight(
     or once ``budget`` codewords have been enumerated.  Codewords count as
     they are enumerated, so a budget of the unbounded run's ``tried``
     completes.
+
+    Raises:
+        ValueError: if ``budget`` is below 1.
     """
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
     sets = _information_sets(gen)
     k, n = gen.shape
     best, tried, bound = n + 1, 0, 0

@@ -15,6 +15,7 @@ starred entry, together with the seed-code parameters they apply to.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -107,10 +108,20 @@ class BoundsTable:
 
     @classmethod
     def load(cls, path: Optional[str] = None) -> "BoundsTable":
-        """Load the packaged table, or a CSV at ``path`` if given."""
+        """Load the packaged table, or a CSV at ``path`` if given.
+
+        The packaged table is parsed once and the same table returned on
+        every later call (a table has no mutators); a CSV at ``path`` is
+        read afresh on every call.
+        """
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_csv_text(fh.read())
+        return cls._packaged()
+
+    @classmethod
+    @functools.cache
+    def _packaged(cls) -> "BoundsTable":
         text = resources.files("hlcd4").joinpath("data/d4_bounds.csv").read_text()
         return cls.from_csv_text(text)
 

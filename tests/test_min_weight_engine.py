@@ -8,6 +8,8 @@ Codes with k > 10 and n - k <= 8 are checked against the oracle's MacWilliams
 branch.
 """
 
+import contextlib
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -15,11 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlcd4 import linalg
+from hlcd4 import code, linalg
 from hlcd4.code import (
     LinearCode,
     _information_sets,
     _InfoSet,
+    _layer_size,
     _layer_weights,
     _min_weight,
     _row_multiples,
@@ -35,10 +38,14 @@ MODES = {"default": {}, "tiny chunks": {"_CHUNK": 7}}
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def engine(gen, mode, **kwargs):
+def chunk_mode(mode):
     if not MODES[mode]:
-        return _min_weight(gen, **kwargs)
-    with mock.patch.multiple("hlcd4.code", **MODES[mode]):
+        return contextlib.nullcontext()
+    return mock.patch.multiple("hlcd4.code", **MODES[mode])
+
+
+def engine(gen, mode, **kwargs):
+    with chunk_mode(mode):
         return _min_weight(gen, **kwargs)
 
 
@@ -273,3 +280,97 @@ def test_engine_pinned_weights(gen, kwargs, expected):
     # Every field, ``tried`` included, so the order in which the engine
     # enumerates codewords and where it stops stay fixed.
     assert _min_weight(gen, **kwargs) == expected
+
+
+def layer_weights_per_tail(s, v):
+    """The enumeration with one chunk (or more) per tail: the weights of
+    the codewords of every weight-v message on set ``s``, tail by tail, a
+    long prefix cut so that each chunk holds at most ``_CHUNK`` codewords
+    unless one tail's multiples alone are more."""
+    chunk_size = code._CHUNK
+    _, words, k, _ = s.rows.shape
+    keep = s.kept == v - 1 and _layer_size(k, v) <= chunk_size
+    kept = []
+    zero = np.zeros((2, words, 1), dtype=s.rows.dtype)
+    for tail in itertools.combinations(range(k), v - s.kept):
+        size = _layer_size(tail[0] if tail else k, s.kept)
+        if not size:
+            continue
+        t = s.rows[:, :, tail[0]] if tail else zero
+        for i in tail[1:]:
+            t = (t[..., None] ^ s.rows[:, :, i, None]).reshape(2, words, -1)
+        step = max(1, chunk_size // t.shape[2])
+        for lo in range(0, size, step):
+            hi = min(lo + step, size)
+            c = (t[..., None] ^ s.layer[:, :, None, lo:hi]).reshape(2, words, -1)
+            yield np.bitwise_count(c[0] | c[1]).sum(axis=0, dtype=np.intp) + v
+            if keep:
+                kept.append(c)
+    if keep:
+        s.kept = v
+        s.layer = np.concatenate(kept, axis=2)
+
+
+def assert_streams_match_per_tail(gen):
+    # Every set and message weight up to 4, in order, so the kept layers
+    # grow as they do in the engine.
+    for got in _information_sets(gen):
+        want = _InfoSet(got.deficit, got.rows, got.layer)
+        for v in range(1, min(4, gen.shape[0]) + 1):
+            a = np.concatenate(list(_layer_weights(got, v)))
+            b = np.concatenate(list(layer_weights_per_tail(want, v)))
+            assert a.dtype == b.dtype and np.array_equal(a, b), v
+            assert got.kept == want.kept, v
+            assert np.array_equal(got.layer, want.layer), v
+
+
+@PROPERTY
+@given(generators())
+@example(K_ONE)
+@example(K_FULL)
+@example(LATE[0])
+@example(LATE[1])
+def test_layer_weights_match_per_tail_reference(gen):
+    # Chunks that span tails must not change the codeword order: the
+    # concatenated stream and the kept layer equal the per-tail ones.
+    # Tiny chunks split prefixes and make tails wider than a chunk.
+    for mode in MODES:
+        with chunk_mode(mode):
+            assert_streams_match_per_tail(gen)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("n, k", [(26, 13), (30, 13), (100, 9)])
+def test_layer_weights_match_per_tail_reference_at_scale(n, k, mode):
+    with chunk_mode(mode):
+        assert_streams_match_per_tail(random_lcd(n, k, 1).gen)
+
+
+@pytest.mark.parametrize("n, k", [(24, 4), (26, 13), (30, 13), (60, 5), (100, 9)])
+def test_chunks_span_tails(n, k):
+    # One XOR-and-count per up to _CHUNK codewords: a step's chunks hold as
+    # many tails as fit, so there are at most about tried / _CHUNK chunks
+    # beyond one per step.  One chunk or more per tail row is far above.
+    calls = {"steps": 0, "chunks": 0}
+
+    def counted(s, v):
+        calls["steps"] += 1
+        for weights in _layer_weights(s, v):
+            calls["chunks"] += 1
+            yield weights
+
+    gen = random_lcd(n, k, 1).gen
+    with mock.patch("hlcd4.code._layer_weights", counted):
+        r = _min_weight(gen)
+    assert calls["chunks"] <= calls["steps"] + -(-r.tried // code._CHUNK)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_refused(budget):
+    c = random_lcd(12, 6, 1)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        _min_weight(c.gen, budget=budget)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        c.min_weight(budget=budget)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        c.summarize(budget=budget)

@@ -1,6 +1,7 @@
 """Shipped bounds table and the isotropic-pair catalog."""
 
 from importlib import resources
+from unittest import mock
 
 import pytest
 
@@ -101,6 +102,24 @@ def test_load_from_path(tmp_path, table):
     reloaded = BoundsTable.load(str(target))
     assert len(reloaded) == len(table)
     assert reloaded.entry(27, 6).flags == table.entry(27, 6).flags
+
+
+def test_packaged_table_is_parsed_once(table):
+    # The packaged table is one shared table: a later load reads nothing.
+    with mock.patch.object(resources, "files", side_effect=AssertionError("re-read")):
+        assert BoundsTable.load() is BoundsTable.load() is table
+
+
+def test_load_from_path_reads_the_file_each_time(tmp_path, table):
+    target = tmp_path / "bounds.csv"
+    text = resources.files("hlcd4").joinpath("data/d4_bounds.csv").read_text()
+    target.write_text(text)
+    first = BoundsTable.load(str(target))
+    assert first.entry(12, 4).lower == 7 and first is not table
+    target.write_text(text.replace("\n12,4,7,7,", "\n12,4,6,7,"))
+    edited = BoundsTable.load(str(target))
+    assert edited.entry(12, 4).lower == 6 and edited is not first
+    assert BoundsTable.load().entry(12, 4).lower == 7
 
 
 def test_flag_parsing():
