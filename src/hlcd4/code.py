@@ -9,24 +9,25 @@ Minimum weight comes from one engine.  Scalar multiples of a codeword share
 its weight, so only messages whose first nonzero symbol is 1 are visited.
 Codewords are packed into the two bit planes of :mod:`hlcd4.gf4`, W =
 ceil(n/64) machine words each, carried on one array axis; the weight is the
-popcount summed over the words.  One table layout of the packed rows' 1, w
-and w^2 multiples feeds both weight enumerators, at every length: the
-engine, and the batched light test of search, which runs the messages of
-weight 1, 2 and 3 in turn and drops the codes each part rejects before the
-next.  The engine, ``_min_weight``, is one loop: it enumerates messages by
-weight over several information sets (Brouwer-Zimmermann), each built by
-one packed elimination (``linalg._eliminate``, shared with row reduction),
-and stops once a lower bound on the weight of every codeword not yet seen
-meets the best weight found, at the cutoff, or at the enumeration budget,
-which counts the codewords enumerated.  An independent oracle counts the
-weight of every codeword from scratch, of the code itself for k <= 10 or of
-its Hermitian dual for n - k <= 10 (then transformed by the MacWilliams
-identity), for cross-checking.
+popcount summed over the words.  One enumerator, ``_layer_weights``, runs
+the messages of one weight on one information set, of one code or, on a
+trailing batch axis, of many.  It serves both weight tests: the engine, and
+the batched light test of search, which runs the messages of weight 1, 2
+and 3 on the identity set of every code in a batch and drops the codes each
+step rejects before the next.  The engine, ``_min_weight``, is one loop: it
+enumerates messages by weight over several information sets
+(Brouwer-Zimmermann), each built by one packed elimination
+(``linalg._eliminate``, shared with row reduction), and stops once a lower
+bound on the weight of every codeword not yet seen meets the best weight
+found, at the cutoff, or at the enumeration budget, which counts the
+codewords enumerated.  An independent oracle counts the weight of every
+codeword from scratch, of the code itself for k <= 10 or of its Hermitian
+dual for n - k <= 10 (then transformed by the MacWilliams identity), for
+cross-checking.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import asdict, dataclass
 from math import comb, prod
@@ -45,6 +46,7 @@ from .gf4 import (
     _stride,
     _to_ints,
     _word_type,
+    elements,
     from_symbols,
     to_symbols,
 )
@@ -87,13 +89,11 @@ class LinearCode:
     """An [n, k] code over the four-element field, immutable once built."""
 
     def __init__(self, gen: np.ndarray):
-        gen = np.asarray(gen, dtype=np.uint8)
+        gen = elements(gen)
         if gen.ndim != 2:
             raise ValueError("generator matrix must be 2-d")
         if gen.shape[1] < 1:
             raise ValueError("code length must be at least 1")
-        if gen.size and gen.max() > 3:
-            raise ValueError("entries must be in 0..3")
         k = gen.shape[0]
         R, pivots = linalg.rref(gen)
         if len(pivots) != k:
@@ -311,21 +311,27 @@ def _macwilliams(dual_counts: list[int], n: int) -> list[int]:
 # Packed bit planes and the row-multiples table (the hot path).
 #
 # A codeword is its two packed bit planes (:mod:`hlcd4.gf4`), each W words
-# long, held on the first axis of one array.  Both weight enumerators read a
-# table of the packed rows' 1, w and w^2 multiples, in one layout at every
-# length: ``_row_multiples`` packs the light test's batch of A blocks into
-# it, and each information set writes its reduced planes into it (see
-# ``_information_sets``).
+# long, held on the first axis of one array.  The enumerator reads a table
+# of the packed rows' 1, w and w^2 multiples, (2, W, k, 3, *batch), with the
+# batch axis of many codes last: ``_row_multiples`` packs the light test's
+# batch of A blocks into it, and each information set of the engine writes
+# its reduced planes into it with no batch axis (see ``_information_sets``).
 
 
-# Codewords per enumerated chunk, and the largest layer an information set
-# keeps for the next message weight to extend.  A chunk spans as many tails
-# as fit; only a tail whose multiples alone are more is a larger chunk.
+# Codewords per enumerated chunk of one code, and the largest layer an
+# information set keeps for the next message weight to extend.  A chunk
+# spans as many tails as fit; only a tail whose multiples alone are more is
+# a larger chunk.
 _CHUNK = 1 << 13
+
+# Words one chunk holds over a whole batch of codes: a batch of B codes
+# takes at most this / (2 W B) codewords per chunk, and keeps no larger
+# layer.  One code of at most 64 words takes ``_CHUNK``.
+_BATCH_WORDS = 1 << 20
 
 
 def _row_multiples(a: np.ndarray) -> np.ndarray:
-    """The (2, W, k, 3, ...) planes of 1, w and w^2 times each row.
+    """The contiguous (2, W, k, 3, ...) planes of 1, w and w^2 times each row.
 
     ``a`` is (..., k, m), with any leading batch axes, which the table
     carries last, so a copy runs over contiguous lanes; W = ceil(m / 64)
@@ -338,38 +344,12 @@ def _row_multiples(a: np.ndarray) -> np.ndarray:
     word = _word_type(m)
     words = -(-m // 64) or 1
     p = _pack_planes(a.reshape(lanes, k, m), word.itemsize * words).view(word)
-    # Batch last, then both planes of the three multiples in one stack.
+    # Batch last, then each plane of the three multiples written in place.
     p = np.ascontiguousarray(p.transpose(0, 3, 2, 1))
-    run = np.stack([q for plane in zip(*_plane_multiples(p[0], p[1])) for q in plane], axis=2)
-    return run.reshape(words, k, 2, 3, *batch).transpose(2, 0, 1, 3, *range(4, 4 + len(batch)))
-
-
-# Elements one chunk of the light test gathers from its table, across the
-# codes still alive.
-_LIGHT_GATHER = 1 << 20
-
-
-@functools.cache
-def _light_messages(k: int) -> tuple[np.ndarray, ...]:
-    """The projective messages of weight 1, 2 and 3 on k rows, built once per k.
-
-    One (v, N_v) array per message weight v: column j lists the v rows of a
-    3k-row table, whose row 3i + f holds factor f (1, w, w^2) times
-    generator row i, that sum to message j.  The leading factor is 1, so
-    there is one message per projective class.
-    """
-    pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2)
-    triples = np.array(list(itertools.combinations(range(k), 3)), dtype=np.intp).reshape(-1, 3)
-    i2, j2 = (3 * pairs.T)[:, :, None]
-    i3, j3, l3 = (3 * triples.T)[:, :, None, None]
-    f = np.arange(3)
-    # Broadcasting runs the factors of the second and third rows over 1, w, w^2.
-    layers = [(3 * np.arange(k),), (i2, j2 + f), (i3, j3 + f[:, None], l3 + f)]
-    out = tuple(np.stack(np.broadcast_arrays(*rows)).reshape(len(rows), -1) for rows in layers)
-    # Cached and shared by every caller, so read-only.
-    for rows in out:
-        rows.setflags(write=False)
-    return out
+    out = np.empty((2, words, k, 3, lanes), dtype=word)
+    for f, planes in enumerate(_plane_multiples(p[0], p[1])):
+        out[0, :, :, f], out[1, :, :, f] = planes
+    return out.reshape(2, words, k, 3, *batch)
 
 
 def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
@@ -380,33 +360,28 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
     generators (I_k | A), of any length.  There wt(mG) = wt(m) + wt(mA)
     >= wt(m), so every codeword of weight below 4 comes from a message of
     weight at most 3: the test decides d >= target exactly for target <= 4
-    and is a necessary condition above.  The layers run in order of message
-    weight v, only while v < target, in chunks of at most about
-    ``_LIGHT_GATHER`` gathered elements; after each chunk the codes it
-    rejected leave the batch, so most codes see only the first layers.
+    and is a necessary condition above.  The identity is information set
+    0 of every code, and ``_layer_weights`` runs its steps v = 1, 2, 3 on
+    the whole batch, only while v < target and v <= k.  The codes a step
+    rejects leave the batch before the next, so most codes see only the
+    first steps; the test ends once none is left.
     """
-    batch, k, m = a.shape
-    # Only the A columns are combined; the identity part contributes the
-    # message weight.  Row 3i + f of the table holds both planes of f times
-    # row i, batch on the last axis, so every gather below copies whole rows.
     rows = _row_multiples(a)
-    table = rows.transpose(2, 3, 0, 1, 4).reshape(3 * k, 2, rows.shape[1], batch)
-    alive = np.arange(batch)
-    # Summed over the words in a type that holds every weight up to m.
-    count_type = np.min_scalar_type(m)
-    for v, msgs in enumerate(_light_messages(k)[: target - 1], 1):
-        lo = 0
-        while lo < msgs.shape[1] and alive.size:
-            hi = lo + max(1, _LIGHT_GATHER // table[0].size)
-            c = table[msgs[0, lo:hi]]
-            for rows in msgs[1:, lo:hi]:
-                c ^= table[rows]
-            low = np.bitwise_count(c[:, 0] | c[:, 1]).sum(axis=1, dtype=count_type).min(axis=0)
-            ok = low >= target - v
+    s = _InfoSet(0, rows, rows[:, :, :, 0])
+    alive = np.arange(len(a))
+    last = min(3, target - 1, a.shape[1])
+    for v in range(1, last + 1):
+        ok = True
+        for weights in _layer_weights(s, v):
+            ok &= weights.min(axis=0) >= target
+            if not ok.any():
+                return alive[:0]
+        alive = alive[ok]
+        if v < last and alive.size < ok.size:
             # compress keeps the batch axis last in memory; a boolean
-            # index would put it first and slow every later gather.
-            alive, table = alive[ok], table.compress(ok, axis=-1)
-            lo = hi
+            # index would put it first and slow every later step.
+            s.rows = s.rows.compress(ok, axis=-1)
+            s.layer = s.rows[:, :, :, 0] if s.kept == 1 else s.layer.compress(ok, axis=-1)
     return alive
 
 
@@ -444,6 +419,11 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
 # budget and limit checks, per chunk rather than per tail row.  Chunks
 # never span two steps, and where one ends changes neither the order of
 # the codewords nor where the enumeration stops.
+#
+# The light test (``_light_survivors``) runs the same steps, v = 1, 2, 3,
+# on set 0 of a whole batch of (I_k | A) codes, the batch on a last axis of
+# every array; its chunks hold fewer codewords, so that one stays near
+# ``_BATCH_WORDS`` words.
 
 
 class _Weight(NamedTuple):
@@ -467,13 +447,15 @@ class _Weight(NamedTuple):
 
 @dataclass
 class _InfoSet:
-    """One information set and its kept layer."""
+    """One information set and its kept layer, of one code or of a batch."""
 
     deficit: int
-    # (2, W, k, 3) planes of f times row i of A_j, f = 1, w, w^2.
+    # (2, W, k, 3, *batch) planes of f times row i of A_j, f = 1, w, w^2;
+    # a batch of codes (the light test's) on a last axis.
     rows: np.ndarray
     # The kept layer: codewords of every message of weight ``kept``, grouped
-    # by the message's last row, as (2, W, N) planes; at first the rows.
+    # by the message's last row, as (2, W, N, *batch) planes; at first the
+    # rows themselves (f = 1).
     layer: np.ndarray
     kept: int = 1
 
@@ -504,7 +486,7 @@ def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
         multiples = [x for plane in zip(*_plane_multiples(*a)) for x in plane]
         rows = _from_ints(multiples, k, n)[..., :words].reshape(2, 3, k, words)
         rows = np.ascontiguousarray(rows.transpose(0, 3, 2, 1))
-        sets.append(_InfoSet(k - fresh.bit_count(), rows, rows[..., 0]))
+        sets.append(_InfoSet(k - fresh.bit_count(), rows, rows[:, :, :, 0]))
         unused ^= fresh
     return sets
 
@@ -534,48 +516,68 @@ def _layer_size(k: int, v: int) -> int:
 
 def _layer_weights(s: _InfoSet, v: int):
     """The weights of the codewords of every weight-v message on set ``s``,
-    in chunks of at most ``_CHUNK``.
+    in chunks, (N, *batch) each.
 
-    A message splits into its ``s.kept`` first rows, whose codewords are the
-    kept layer (leading coefficient 1), and its t = v - s.kept last rows,
-    which take every coefficient; kept codewords whose rows all precede row
-    l form a prefix of the layer, C(l, kept) 3^(kept - 1) long.  Tails come
-    in lexicographic order; each tail's 3^t multiples are XORed with its
-    prefix, cut into pieces of at most ``_CHUNK`` codewords, into one chunk
+    A chunk holds at most ``size`` codewords of every code: ``_CHUNK`` for
+    one code, fewer for a batch, so that a chunk is at most about
+    ``_BATCH_WORDS`` words.  A message splits into its ``s.kept`` first
+    rows, whose codewords are the kept layer (leading coefficient 1), and
+    its t = v - s.kept last rows, which take every coefficient; kept
+    codewords whose rows all precede row l form a prefix of the layer,
+    C(l, kept) 3^(kept - 1) long.  At v = 1 the kept layer is the whole
+    message (t = 0), counted in pieces of ``size``.  Otherwise tails come in
+    lexicographic order; each tail's 3^t multiples are XORed with its
+    prefix, cut into pieces of at most ``size`` codewords, into one chunk
     buffer, which is counted when the next piece would not fit.  So a chunk
     spans as many tails as fit, and only a tail whose multiples alone exceed
-    ``_CHUNK`` makes chunks larger than that, one piece each.  With t = 1 a
-    layer of at most ``_CHUNK`` codewords is one chunk, and becomes the kept
-    layer once it has been enumerated.  At v = 1 the kept layer is the whole
-    message: t = 0 and the tail is the zero word.
+    ``size`` makes chunks larger than that, one piece each.  With t = 1 a
+    layer of at most ``size`` codewords is one chunk, and becomes the kept
+    layer once it has been enumerated; when the layer is small, that chunk
+    is one XOR of every row's multiples with the whole layer, compressed to
+    the codewords whose kept rows precede the row, in the same order.  The
+    axes are indexed from the front, so one path serves every batch shape.
     """
-    _, words, k, _ = s.rows.shape
+    _, words, k, _, *batch = s.rows.shape
+    size = min(_CHUNK, max(1, _BATCH_WORDS // (2 * words * prod(batch))))
+    if v == s.kept:
+        for lo in range(0, s.layer.shape[2], size):
+            yield _weights(s.layer[:, :, lo : lo + size], v)
+        return
     total = _layer_size(k, v)
-    keep = s.kept == v - 1 and total <= _CHUNK
-    # Every tail has 3^t multiples, so every prefix splits in the same step.
-    multiples = 3 ** (v - s.kept)
-    step = max(1, _CHUNK // multiples)
-    chunk = np.empty((2, words, min(total, max(_CHUNK, multiples))), dtype=s.rows.dtype)
-    layer = s.layer[:, :, None]
-    fill = 0
-    for tail in itertools.combinations(range(k), v - s.kept):
-        size = _layer_size(tail[0] if tail else k, s.kept)
-        if not size:
-            continue
-        t = s.rows[:, :, tail[0]] if tail else np.zeros((2, words, 1), dtype=chunk.dtype)
-        for i in tail[1:]:
-            t = (t[..., None] ^ s.rows[:, :, i, None]).reshape(2, words, -1)
-        # The tail axis outermost, so each XOR runs over a long inner axis.
-        t = t[..., None]
-        for lo in range(0, size, step):
-            hi = min(lo + step, size)
-            end = fill + multiples * (hi - lo)
-            if end > chunk.shape[2]:
-                yield _weights(chunk[:, :, :fill], v)
-                fill, end = 0, end - fill
-            out = chunk[:, :, fill:end].reshape(2, words, multiples, hi - lo)
-            np.bitwise_xor(t, layer[..., lo:hi], out)
-            fill = end
+    keep = s.kept == v - 1 and total <= size
+    # One XOR for the whole step also makes the codewords whose kept rows do
+    # not precede the row, then drops them; while each row's share of that
+    # XOR is at most 16 KiB, it costs less than the numpy call per row it
+    # saves.
+    if keep and 3 * s.layer.nbytes <= 1 << 14:
+        prefixes = [_layer_size(l, s.kept) for l in range(k)]
+        before = np.arange(s.layer.shape[2]) < np.array(prefixes)[:, None]
+        chunk = (s.rows[:, :, :, :, None] ^ s.layer[:, :, None, None]).reshape(2, words, -1, *batch)
+        chunk = chunk.compress(np.repeat(before, 3, axis=0).ravel(), axis=2)
+        fill = total
+    else:
+        # Every tail has 3^t multiples, so every prefix splits in the same
+        # step.  Only tails after the first kept rows have a prefix.
+        multiples = 3 ** (v - s.kept)
+        step = max(1, size // multiples)
+        chunk = np.empty((2, words, min(total, max(size, multiples)), *batch), dtype=s.rows.dtype)
+        fill = 0
+        for tail in itertools.combinations(range(s.kept, k), v - s.kept):
+            # The tail's multiples on an axis before the prefix's, so each
+            # XOR runs over a long inner axis.
+            t = s.rows[:, :, tail[0], :, None]
+            for i in tail[1:]:
+                t = (t ^ s.rows[:, :, i, None]).reshape(2, words, -1, 1, *batch)
+            prefix = _layer_size(tail[0], s.kept)
+            for lo in range(0, prefix, step):
+                hi = min(lo + step, prefix)
+                end = fill + multiples * (hi - lo)
+                if end > chunk.shape[2]:
+                    yield _weights(chunk[:, :, :fill], v)
+                    fill, end = 0, end - fill
+                out = chunk[:, :, fill:end].reshape(2, words, multiples, hi - lo, *batch)
+                np.bitwise_xor(t, s.layer[:, :, None, lo:hi], out)
+                fill = end
     yield _weights(chunk[:, :, :fill], v)
     if keep:
         # The whole layer is the one chunk, which no later step writes.
@@ -584,10 +586,13 @@ def _layer_weights(s: _InfoSet, v: int):
 
 
 def _weights(c: np.ndarray, v: int) -> np.ndarray:
-    """The weights of (2, W, N) codewords of weight-v messages: the
-    message's own v nonzeros plus the popcount over the words, in a type
-    that cannot wrap."""
-    return np.bitwise_count(c[0] | c[1]).sum(axis=0, dtype=np.intp, initial=v)
+    """The weights of (2, W, N, *batch) codewords of weight-v messages: the
+    message's own v nonzeros plus the popcount of each word, added one word
+    at a time (``sum`` runs over the word axis) in the narrowest unsigned
+    type that holds 64 W + v, so the sum cannot wrap."""
+    counts = np.bitwise_count(c[0] | c[1])
+    first = counts[0] + np.min_scalar_type(64 * len(counts) + v).type(v)
+    return sum(counts[1:], first)
 
 
 def _schedule(k: int, deficits: list[int]):

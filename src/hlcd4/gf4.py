@@ -5,7 +5,9 @@ satisfies w^2 + w + 1 = 0.  Writing a = a0 + a1*w, the encoding is the
 2-bit integer a0 + 2*a1, so addition is bitwise XOR.  Multiplication uses a
 16-entry table.
 
-Vectors are numpy uint8 arrays with values in {0, 1, 2, 3}.
+Vectors are numpy uint8 arrays with values in {0, 1, 2, 3}.  ``elements``
+checks entries before the cast, so no out-of-range value wraps into the
+field; codes, vectors and isotropic pairs are built through it.
 
 The fast paths (row reduction, the light test and the minimum-weight
 engine) work on one packed format, owned by this module.  A vector splits
@@ -68,10 +70,20 @@ def vector(values) -> np.ndarray:
     """Build a vector from an iterable of elements (or a symbol string)."""
     if isinstance(values, str):
         return from_symbols(values)
-    v = np.asarray(list(values), dtype=np.uint8)
-    if v.size and v.max() > 3:
+    return elements(list(values))
+
+
+def elements(values) -> np.ndarray:
+    """``values`` as a uint8 array of field elements, checked before the cast.
+
+    Raises:
+        ValueError: for a non-integer (and non-bool) dtype or an entry
+            outside 0..3, which the cast would wrap or truncate.
+    """
+    a = np.asarray(values)
+    if a.size and (a.dtype.kind not in "biu" or a.max() > 3 or a.dtype.kind == "i" and a.min() < 0):
         raise ValueError("entries must be in 0..3")
-    return v
+    return a.astype(np.uint8, copy=False)
 
 
 def from_symbols(text: str) -> np.ndarray:

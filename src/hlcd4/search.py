@@ -17,9 +17,12 @@ Only its survivors, in index order, take the weight check (for targets
 above 4) and the LCD check.  The result is therefore the lowest hit index,
 a pure function of (seed, index): the block size never changes which
 candidate is found.  The light test and the engine behind the weight check
-read one packed row-multiples table (``code._row_multiples``), at every
-length.
+run one enumerator, ``code._layer_weights``: the light test on the identity
+information set of every candidate of the block at once, the engine on the
+information sets of one code.
 ``SearchConfig.threads`` is accepted and ignored: search is serial.
+``SearchConfig.strategy`` takes a ``Strategy`` or its value ("random",
+"axy", "puncture-shorten"); anything else is refused.
 
 AXY_NEIGHBORHOOD hill-climbs from an LCD code (I_k | A) using the
 two-vector update: sample an isotropic pair, update A, accept moves that
@@ -93,6 +96,9 @@ class SearchConfig:
     threads: int = 1  # accepted and ignored: search is serial
 
     def __post_init__(self):
+        # The enum or its value ("random", "axy", "puncture-shorten");
+        # Strategy() raises ValueError for anything else.
+        object.__setattr__(self, "strategy", Strategy(self.strategy))
         if self.target_d < 1:
             raise ValueError("target_d must be at least 1")
         if self.budget < 1:
@@ -408,6 +414,13 @@ def _search_puncture_shorten(config: SearchConfig) -> tuple[Optional[LinearCode]
     return None, min(config.budget, 2 * base.n)
 
 
+_STRATEGIES = {
+    Strategy.RANDOM: _search_random,
+    Strategy.AXY_NEIGHBORHOOD: _search_axy,
+    Strategy.PUNCTURE_SHORTEN: _search_puncture_shorten,
+}
+
+
 def search(config: SearchConfig) -> SearchResult:
     """Run the configured strategy; deterministic given the seed.
 
@@ -416,12 +429,7 @@ def search(config: SearchConfig) -> SearchResult:
     raised.
     """
     start = time.perf_counter()
-    if config.strategy is Strategy.RANDOM:
-        found, tried = _search_random(config)
-    elif config.strategy is Strategy.AXY_NEIGHBORHOOD:
-        found, tried = _search_axy(config)
-    else:
-        found, tried = _search_puncture_shorten(config)
+    found, tried = _STRATEGIES[config.strategy](config)
     elapsed = time.perf_counter() - start
     # The post-check needs only LCD and d >= target; the codeword budget keeps
     # a large dual from stalling it.  A budget-stopped d is an upper bound,

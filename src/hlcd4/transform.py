@@ -45,7 +45,7 @@ from .errors import (
     PreconditionError,
     ZeroVectorError,
 )
-from .gf4 import MUL, OMEGA2, from_symbols, hermitian_inner, to_symbols
+from .gf4 import MUL, OMEGA2, elements, from_symbols, hermitian_inner, to_symbols
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ class IsotropicPair:
     The only validator of a pair: every use of the update takes one.
 
     Raises:
+        ValueError: if an entry is not a field element (0..3).
         LengthMismatchError: if x and y differ in length.
         ZeroVectorError: if x or y is zero.
         IsotropyError: if any of the three inner products is nonzero.
@@ -64,9 +65,9 @@ class IsotropicPair:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.uint8).copy())
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.uint8).copy())
         r = check_isotropic(self.x, self.y)
+        object.__setattr__(self, "x", np.array(self.x, dtype=np.uint8))
+        object.__setattr__(self, "y", np.array(self.y, dtype=np.uint8))
         products = dict(xx=r.xx, yy=r.yy, xy=r.xy)
         if r.x_is_zero or r.y_is_zero:
             raise ZeroVectorError(f"{'x' if r.x_is_zero else 'y'} is zero", **products)
@@ -106,9 +107,14 @@ class IsotropyReport:
 
 
 def check_isotropic(x: np.ndarray, y: np.ndarray) -> IsotropyReport:
-    """Evaluate the pair conditions without raising."""
-    x = np.asarray(x, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
+    """Evaluate the pair conditions; a pair that fails them is reported,
+    not refused.
+
+    Raises:
+        ValueError: if an entry is not a field element (0..3).
+        LengthMismatchError: if x and y differ in length.
+    """
+    x, y = elements(x), elements(y)
     if x.shape != y.shape:
         raise LengthMismatchError(f"lengths differ: {x.shape[0]} vs {y.shape[0]}")
     return IsotropyReport(

@@ -1,6 +1,7 @@
 """LinearCode: duals, hulls, minimum weight, and their oracles."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,13 @@ def test_constructor_validation():
         LinearCode(np.array([[1, 2], [2, 3]], dtype=np.uint8))  # row2 = w*row1
     zero = LinearCode(np.zeros((0, 5), dtype=np.uint8))
     assert zero.k == 0 and zero.n == 5
+
+
+@pytest.mark.parametrize("entry", [257, -255, 1.7, 4])
+def test_generator_entries_outside_the_field_are_refused(entry):
+    # Not wrapped or truncated into the identity code.
+    with pytest.raises(ValueError, match="entries must be in 0..3"):
+        LinearCode(np.array([[entry, 0], [0, 1]]))
 
 
 def test_from_symbols():
@@ -276,8 +284,9 @@ def test_light_survivors_match_reference(rng, monkeypatch):
     # targets 1 to 7; exact against min_weight for targets up to 4.  Batches
     # of 1 to 5 codes, k in {1, 2, 3} at n = 4, 64 and past one word, an
     # empty A at k = n = 4, each also with most A columns zeroed so that low
-    # weights occur at every length; then one batch of 60 with a gather cap
-    # small enough to split every layer into several chunks
+    # weights occur at every length; then one batch of 60 with a batch bound
+    # small enough to split every step into several chunks and refuse the
+    # kept layer
     shapes = [(int(rng.integers(6, 20)), None, None) for _ in range(30)]
     shapes += [(n, k, None) for n in (4, 64, 65, 70, 129) for k in (1, 2, 3)] + [(4, 4, None)]
     shapes += [(12, 6, 60), (70, 5, 60)]
@@ -285,7 +294,7 @@ def test_light_survivors_match_reference(rng, monkeypatch):
         if k is None:
             k = int(rng.integers(1, min(n - 1, 9) + 1))
         if size:
-            monkeypatch.setattr(code_mod, "_LIGHT_GATHER", 200)
+            monkeypatch.setattr(code_mod, "_BATCH_WORDS", 200)
         for zeroed in (0.0, 0.9):
             batch = size or int(rng.integers(1, 6))
             a = rng.integers(0, 4, size=(batch, k, n - k), dtype=np.uint8)
@@ -298,6 +307,15 @@ def test_light_survivors_match_reference(rng, monkeypatch):
                 assert (np.diff(survivors) > 0).all()
                 if target <= 4:
                     assert survivors.tolist() == [i for i, w in enumerate(d) if w >= target]
+
+
+def test_one_message_enumerator():
+    # Both weight tests enumerate messages through _layer_weights: no second
+    # table of messages, and one place that walks the row combinations.
+    source = Path(code_mod.__file__).read_text()
+    assert "def _light_messages" not in source
+    assert not hasattr(code_mod, "_light_messages")
+    assert source.count("itertools.combinations") <= 1
 
 
 def test_scan_handles_n_above_64(rng, monkeypatch):

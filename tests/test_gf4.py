@@ -69,6 +69,24 @@ def test_vector_builder():
         gf4.vector([0, 4])
 
 
+@pytest.mark.parametrize(
+    "values", [[257, 1], [-255, 1], [1.7, 1], [0, 4], np.array([257, 1]), np.array([1.0, 0.0])]
+)
+def test_entries_are_checked_before_the_cast(values):
+    # A uint8 cast would wrap 257 and -255 to 1 and truncate 1.7 to 1.
+    for build in (gf4.elements, gf4.vector):
+        with pytest.raises(ValueError, match="entries must be in 0..3"):
+            build(values)
+
+
+def test_elements_accepts_integer_and_bool_entries():
+    assert gf4.elements(np.array([3, 0, 2], dtype=np.int64)).tolist() == [3, 0, 2]
+    assert gf4.elements(np.array([True, False])).tolist() == [1, 0]
+    x = np.array([[1, 2]], dtype=np.uint8)
+    assert gf4.elements(x) is x
+    assert gf4.elements([]).dtype == np.uint8
+
+
 def test_vector_ops(rng):
     x = gf4.from_symbols("1w0W")
     y = gf4.from_symbols("01wW")

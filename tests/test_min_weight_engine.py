@@ -303,7 +303,7 @@ def layer_weights_per_tail(s, v):
         for lo in range(0, size, step):
             hi = min(lo + step, size)
             c = (t[..., None] ^ s.layer[:, :, None, lo:hi]).reshape(2, words, -1)
-            yield np.bitwise_count(c[0] | c[1]).sum(axis=0, dtype=np.intp) + v
+            yield np.bitwise_count(c[0] | c[1]).sum(axis=0, dtype=np.min_scalar_type(64 * words + v)) + v
             if keep:
                 kept.append(c)
     if keep:
@@ -344,6 +344,50 @@ def test_layer_weights_match_per_tail_reference(gen):
 def test_layer_weights_match_per_tail_reference_at_scale(n, k, mode):
     with chunk_mode(mode):
         assert_streams_match_per_tail(random_lcd(n, k, 1).gen)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [{}, {"_CHUNK": 7}, {"_CHUNK": 7, "_BATCH_WORDS": 200}],
+    ids=["default", "tiny chunks", "tiny batch bound"],
+)
+def test_batched_steps_match_one_code_each(bounds, monkeypatch):
+    # The light test's batched steps against the engine's steps on one
+    # code: for every message weight v <= 3, column b of the batched stream
+    # is the stream of set 0 of (I_k | A_b), in value and dtype.  A batch
+    # of 1, 7 or 300 codes, k = 1..9, n up to 70 (one and two words).  From
+    # k = 3 on, tiny chunks refuse the kept layer and split the weight-2
+    # step into several chunks.  A tiny batch bound gives the batch shorter
+    # pieces than one code, which cut a long prefix at other points: the
+    # same weights then come in another order within a tail.
+    for name, value in bounds.items():
+        monkeypatch.setattr(code, name, value)
+    ordered = "_BATCH_WORDS" not in bounds
+    rng = np.random.default_rng(19)
+    widths = set()
+    for batch in (1, 7, 300):
+        for k in range(1, 10):
+            for n in (int(rng.integers(k + 1, 65)), 70):
+                a = rng.integers(0, 4, size=(batch, k, n - k), dtype=np.uint8)
+                rows = _row_multiples(a)
+                together = _InfoSet(0, rows, rows[:, :, :, 0])
+                # Every seventh code of the batch and the last, one at a time.
+                eye = np.eye(k, dtype=np.uint8)
+                picked = sorted({*range(0, batch, 7), batch - 1})
+                alone = {b: _information_sets(np.hstack([eye, a[b]]))[0] for b in picked}
+                widths.add(rows.shape[1])
+                for v in range(1, min(3, k) + 1):
+                    chunks = list(_layer_weights(together, v))
+                    got = np.concatenate(chunks)
+                    for b, s in alone.items():
+                        want = np.concatenate(list(_layer_weights(s, v)))
+                        column = got[:, b] if ordered else np.sort(got[:, b])
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(column, want if ordered else np.sort(want))
+                    if bounds and k >= 3:
+                        assert together.kept == 1
+                        assert len(chunks) > 1 or v != 2
+    assert widths == {1, 2}
 
 
 @pytest.mark.parametrize("n, k", [(24, 4), (26, 13), (30, 13), (60, 5), (100, 9)])

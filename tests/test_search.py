@@ -43,6 +43,27 @@ def test_config_validation():
         SearchConfig(n=10, k=4, target_d=3, seed=-1)
 
 
+def test_strategy_is_taken_by_value():
+    # Each value runs its own strategy; none falls through to
+    # puncture-shorten, and an unknown one is refused.
+    base = shorten(elliptic_quadric_code(), [1, 2, 3])
+    config = dict(n=13, k=9, target_d=4, seed=1, base=base)
+    for strategy in Strategy:
+        assert SearchConfig(**config, strategy=strategy.value).strategy is strategy
+    assert set(importlib.import_module("hlcd4.search")._STRATEGIES) == set(Strategy)
+    hit = search(SearchConfig(**config, strategy="puncture-shorten"))
+    assert hit.candidates_tried == 2 and hit.found is not None
+    with pytest.raises(PreconditionError, match=r"expected \[13,9\]"):
+        search(SearchConfig(**config, strategy="axy"))
+    runs = [
+        search(SearchConfig(**config, budget=3000, strategy=s)) for s in ("random", Strategy.RANDOM)
+    ]
+    assert [(r.found, r.candidates_tried) for r in runs] == [(None, 3000)] * 2
+    for bad in ("gray", None, 1):
+        with pytest.raises(ValueError):
+            SearchConfig(**config, strategy=bad)
+
+
 def test_random_lcd_deterministic_and_valid():
     a = random_lcd(12, 6, 42)
     b = random_lcd(12, 6, 42)

@@ -58,6 +58,17 @@ def test_pair_validation():
         check_isotropic(from_symbols("11"), from_symbols("111"))
 
 
+@pytest.mark.parametrize("entry", [257, 255, 4, -1])
+def test_pair_entries_outside_the_field_are_refused(entry):
+    # 257 would wrap to the valid pair (1100, 1100); 4..255 used to raise
+    # a bare IndexError from the inner product.
+    x, y = np.array([1, 1, 0, 0]), np.array([entry, 1, 0, 0])
+    with pytest.raises(ValueError, match="entries must be in 0..3"):
+        check_isotropic(x, y)
+    with pytest.raises(ValueError, match="entries must be in 0..3"):
+        IsotropicPair(x, y)
+
+
 def test_pair_is_frozen_and_copied():
     x = from_symbols("11")
     p = IsotropicPair(x, x)
