@@ -329,6 +329,19 @@ _CHUNK = 1 << 13
 # layer.  One code of at most 64 words takes ``_CHUNK``.
 _BATCH_WORDS = 1 << 20
 
+# A t = 1 step that keeps its layer makes its codewords either with a call
+# per row (the per-tail loop) or with one XOR of every row's three
+# multiples with the whole layer, which also makes the codewords whose kept
+# rows do not precede the row, and one ``compress`` that drops them.  The
+# one XOR is taken while the bytes it drops are at most this many per call
+# it saves, and only where its inner loops run over the layer: for one code,
+# or for a batch extended from the rows themselves (kept = 1); for a batch
+# from a kept layer they run over the lanes, and it was slower at every
+# size measured.  The bound comes from timing such steps both ways (2
+# vCPU): one code of 4 to 60 rows and 1 or 2 words, and batches of 7 to
+# 4096 lanes.
+_CALL_BYTES = 16 << 10
+
 
 def _row_multiples(a: np.ndarray) -> np.ndarray:
     """The contiguous (2, W, k, 3, ...) planes of 1, w and w^2 times each row.
@@ -532,10 +545,11 @@ def _layer_weights(s: _InfoSet, v: int):
     spans as many tails as fit, and only a tail whose multiples alone exceed
     ``size`` makes chunks larger than that, one piece each.  With t = 1 a
     layer of at most ``size`` codewords is one chunk, and becomes the kept
-    layer once it has been enumerated; when the layer is small, that chunk
-    is one XOR of every row's multiples with the whole layer, compressed to
-    the codewords whose kept rows precede the row, in the same order.  The
-    axes are indexed from the front, so one path serves every batch shape.
+    layer once it has been enumerated; where that costs less (see
+    ``_CALL_BYTES``), that chunk is one XOR of every row's multiples with
+    the whole layer, compressed to the codewords whose kept rows precede the
+    row, in the same order.  The axes are indexed from the front, so one
+    path serves every batch shape.
     """
     _, words, k, _, *batch = s.rows.shape
     size = min(_CHUNK, max(1, _BATCH_WORDS // (2 * words * prod(batch))))
@@ -545,15 +559,14 @@ def _layer_weights(s: _InfoSet, v: int):
         return
     total = _layer_size(k, v)
     keep = s.kept == v - 1 and total <= size
-    # One XOR for the whole step also makes the codewords whose kept rows do
-    # not precede the row, then drops them; while each row's share of that
-    # XOR is at most 16 KiB, it costs less than the numpy call per row it
-    # saves.
-    if keep and 3 * s.layer.nbytes <= 1 << 14:
+    # The bytes of the codewords the one XOR below makes and drops; it saves
+    # the per-tail loop's k - v further calls.
+    spare = (3 * k * s.layer.shape[2] - total) * s.layer.nbytes // s.layer.shape[2]
+    if keep and (s.kept == 1 or prod(batch) == 1) and spare <= _CALL_BYTES * (k - v):
         prefixes = [_layer_size(l, s.kept) for l in range(k)]
-        before = np.arange(s.layer.shape[2]) < np.array(prefixes)[:, None]
+        before = np.arange(s.layer.shape[2]) < np.array(prefixes).repeat(3)[:, None]
         chunk = (s.rows[:, :, :, :, None] ^ s.layer[:, :, None, None]).reshape(2, words, -1, *batch)
-        chunk = chunk.compress(np.repeat(before, 3, axis=0).ravel(), axis=2)
+        chunk = chunk.compress(before.ravel(), axis=2)
         fill = total
     else:
         # Every tail has 3^t multiples, so every prefix splits in the same
@@ -591,8 +604,7 @@ def _weights(c: np.ndarray, v: int) -> np.ndarray:
     at a time (``sum`` runs over the word axis) in the narrowest unsigned
     type that holds 64 W + v, so the sum cannot wrap."""
     counts = np.bitwise_count(c[0] | c[1])
-    first = counts[0] + np.min_scalar_type(64 * len(counts) + v).type(v)
-    return sum(counts[1:], first)
+    return sum(counts[1:], counts[0] + np.min_scalar_type(64 * len(counts) + v).type(v))
 
 
 def _schedule(k: int, deficits: list[int]):

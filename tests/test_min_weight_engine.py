@@ -33,7 +33,14 @@ from hlcd4.search import elliptic_quadric_code, random_lcd
 
 from conftest import random_standard, scramble
 
-MODES = {"default": {}, "tiny chunks": {"_CHUNK": 7}}
+# A kept t = 1 step is made by a call per row or by one XOR and a compress,
+# as _CALL_BYTES decides; the last two modes force each way.
+MODES = {
+    "default": {},
+    "tiny chunks": {"_CHUNK": 7},
+    "call per row": {"_CALL_BYTES": 0},
+    "one XOR": {"_CALL_BYTES": 1 << 40},
+}
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -348,8 +355,8 @@ def test_layer_weights_match_per_tail_reference_at_scale(n, k, mode):
 
 @pytest.mark.parametrize(
     "bounds",
-    [{}, {"_CHUNK": 7}, {"_CHUNK": 7, "_BATCH_WORDS": 200}],
-    ids=["default", "tiny chunks", "tiny batch bound"],
+    [{}, {"_CHUNK": 7}, {"_CHUNK": 7, "_BATCH_WORDS": 200}, {"_CALL_BYTES": 0}, {"_CALL_BYTES": 1 << 40}],
+    ids=["default", "tiny chunks", "tiny batch bound", "call per row", "one XOR"],
 )
 def test_batched_steps_match_one_code_each(bounds, monkeypatch):
     # The light test's batched steps against the engine's steps on one
@@ -359,7 +366,9 @@ def test_batched_steps_match_one_code_each(bounds, monkeypatch):
     # k = 3 on, tiny chunks refuse the kept layer and split the weight-2
     # step into several chunks.  A tiny batch bound gives the batch shorter
     # pieces than one code, which cut a long prefix at other points: the
-    # same weights then come in another order within a tail.
+    # same weights then come in another order within a tail.  The last two
+    # make every kept t = 1 step by a call per row, or by one XOR wherever
+    # a batch from the rows or one code allows it.
     for name, value in bounds.items():
         monkeypatch.setattr(code, name, value)
     ordered = "_BATCH_WORDS" not in bounds
@@ -384,7 +393,7 @@ def test_batched_steps_match_one_code_each(bounds, monkeypatch):
                         column = got[:, b] if ordered else np.sort(got[:, b])
                         assert got.dtype == want.dtype
                         assert np.array_equal(column, want if ordered else np.sort(want))
-                    if bounds and k >= 3:
+                    if "_CHUNK" in bounds and k >= 3:
                         assert together.kept == 1
                         assert len(chunks) > 1 or v != 2
     assert widths == {1, 2}
