@@ -28,8 +28,9 @@ cross-checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import comb, prod
 from typing import NamedTuple, Optional
 
@@ -77,10 +78,11 @@ class CodeSummary:
 
     def to_dict(self) -> dict:
         # Exactness flags appear only when a budget truncated the search, so
-        # the common all-exact record stays minimal.
+        # the common all-exact record stays minimal.  The fields are plain
+        # values, read in field order with no copy.
         return {
             key: value
-            for key, value in asdict(self).items()
+            for key, value in vars(self).items()
             if not (key.endswith("_exact") and value)
         }
 
@@ -199,7 +201,7 @@ class LinearCode:
         """
         if self.k < 1:
             raise ValueError("minimum weight requires k >= 1")
-        r = _min_weight(self._gen, budget=budget)
+        r = _min_weight(self._canonical, budget=budget)
         if not r.exact:
             raise BudgetExceededError(
                 f"enumerated {r.tried} codewords without completing; best weight seen {r.best}",
@@ -211,12 +213,14 @@ class LinearCode:
         """Fill every summary field; budget truncation maps to non-exact flags.
 
         A zero code (the code itself with k = 0, or the dual of a full code)
-        has no nonzero codewords; its weight is reported as 0.
+        has no nonzero codewords; its weight is reported as 0.  The engine
+        gets the canonical form, whose pivot columns are unit columns: its
+        first elimination then has no rows to clear.
         """
         def weight(code):
             if code.k == 0:
                 return 0, True
-            r = _min_weight(code.gen, budget=budget)
+            r = _min_weight(code.canonical, budget=budget)
             return r.best, r.exact
 
         d, d_exact = weight(self)
@@ -424,14 +428,21 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
 # would: any other column depends on the first set's columns to its left.
 # A_j is G_j with its pivot bits cleared: its columns stay where they are,
 # which no weight sees, unless n needs more words than n - k columns do;
-# then they move down into ceil((n - k) / 64) words.
+# then they move down into ceil((n - k) / 64) words.  The sets' planes stay
+# Python ints until the last set is found; one conversion and one transpose
+# then make one array of every set's table, and each set's ``rows`` is a
+# view of it.  ``LinearCode`` hands the engine its canonical form, whose
+# pivot columns are unit columns, so set 0 takes about one test per row
+# (see ``linalg``).
 #
 # A step of the enumeration (one set, one message weight) writes its
 # codewords tail by tail into one chunk of up to ``_CHUNK`` codewords and
 # counts a chunk at a time: one OR, popcount and sum, and one round of
 # budget and limit checks, per chunk rather than per tail row.  Chunks
 # never span two steps, and where one ends changes neither the order of
-# the codewords nor where the enumeration stops.
+# the codewords nor where the enumeration stops.  What a step needs that
+# depends only on its shape, the one-XOR path's compress mask and the
+# count type, is cached, not rebuilt at every step.
 #
 # The light test (``_light_survivors``) runs the same steps, v = 1, 2, 3,
 # on set 0 of a whole batch of (I_k | A) codes, the batch on a last axis of
@@ -474,7 +485,12 @@ class _InfoSet:
 
 
 def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
-    """Greedy information sets of a full-rank generator, in order of use."""
+    """Greedy information sets of a full-rank generator, in order of use.
+
+    Every set's planes stay Python ints until the last set is found; one
+    conversion and one transpose then make the (S, 2, W, k, 3) table of all
+    S sets, and each set's ``rows`` is a view of it.
+    """
     k, n = gen.shape
     stride = _stride(n)
     lo, hi = _to_ints(_pack_planes(gen, stride // 8))
@@ -482,7 +498,7 @@ def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
     ones = ((1 << stride * k) - 1) // ((1 << stride) - 1)
     words = -(-(n - k) // 64) or 1
     unused = (1 << n) - 1
-    sets = []
+    deficits, multiples = [], []
     while unused:
         lo, hi, pivots = linalg._eliminate(lo, hi, k, stride, unused)
         taken = sum(1 << c for c in pivots)
@@ -494,14 +510,14 @@ def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
             a = [_compact(x, free, ones) for x in (lo, hi)]
         else:
             a = [x & free * ones for x in (lo, hi)]
-        # Both planes of the three multiples of every row at once, as
-        # (2, 3, k, W) words, laid out as (2, W, k, 3).
-        multiples = [x for plane in zip(*_plane_multiples(*a)) for x in plane]
-        rows = _from_ints(multiples, k, n)[..., :words].reshape(2, 3, k, words)
-        rows = np.ascontiguousarray(rows.transpose(0, 3, 2, 1))
-        sets.append(_InfoSet(k - fresh.bit_count(), rows, rows[:, :, :, 0]))
+        # Both planes of the three multiples of every row, plane by plane.
+        multiples += [x for plane in zip(*_plane_multiples(*a)) for x in plane]
+        deficits.append(k - fresh.bit_count())
         unused ^= fresh
-    return sets
+    # Every set at once, as (S, 2, 3, k, W) words laid out as (S, 2, W, k, 3).
+    rows = _from_ints(multiples, k, n)[..., :words].reshape(-1, 2, 3, k, words)
+    rows = np.ascontiguousarray(rows.transpose(0, 1, 4, 3, 2))
+    return [_InfoSet(deficit, r, r[:, :, :, 0]) for deficit, r in zip(deficits, rows)]
 
 
 def _compact(x: int, free: int, ones: int) -> int:
@@ -563,10 +579,8 @@ def _layer_weights(s: _InfoSet, v: int):
     # the per-tail loop's k - v further calls.
     spare = (3 * k * s.layer.shape[2] - total) * s.layer.nbytes // s.layer.shape[2]
     if keep and (s.kept == 1 or prod(batch) == 1) and spare <= _CALL_BYTES * (k - v):
-        prefixes = [_layer_size(l, s.kept) for l in range(k)]
-        before = np.arange(s.layer.shape[2]) < np.array(prefixes).repeat(3)[:, None]
         chunk = (s.rows[:, :, :, :, None] ^ s.layer[:, :, None, None]).reshape(2, words, -1, *batch)
-        chunk = chunk.compress(before.ravel(), axis=2)
+        chunk = chunk.compress(_preceding(k, s.kept), axis=2)
         fill = total
     else:
         # Every tail has 3^t multiples, so every prefix splits in the same
@@ -598,13 +612,30 @@ def _layer_weights(s: _InfoSet, v: int):
         s.layer = chunk
 
 
+@functools.cache
+def _preceding(k: int, kept: int) -> np.ndarray:
+    """The one-XOR step's compress mask over its (k, 3, N) codewords, the
+    three multiples of each row with each of the N kept codewords: True
+    where the kept codeword's rows all precede the row."""
+    prefixes = np.array([_layer_size(l, kept) for l in range(k)]).repeat(3)
+    mask = (np.arange(_layer_size(k, kept)) < prefixes[:, None]).ravel()
+    mask.setflags(write=False)
+    return mask
+
+
 def _weights(c: np.ndarray, v: int) -> np.ndarray:
     """The weights of (2, W, N, *batch) codewords of weight-v messages: the
     message's own v nonzeros plus the popcount of each word, added one word
     at a time (``sum`` runs over the word axis) in the narrowest unsigned
     type that holds 64 W + v, so the sum cannot wrap."""
     counts = np.bitwise_count(c[0] | c[1])
-    return sum(counts[1:], counts[0] + np.min_scalar_type(64 * len(counts) + v).type(v))
+    return sum(counts[1:], counts[0] + _count_start(len(counts), v))
+
+
+@functools.cache
+def _count_start(words: int, v: int) -> np.unsignedinteger:
+    """v as a scalar of the narrowest unsigned type that holds 64 W + v."""
+    return np.min_scalar_type(64 * words + v).type(v)
 
 
 def _schedule(k: int, deficits: list[int]):

@@ -51,7 +51,8 @@ CONJ = np.array([0, 1, 3, 2], dtype=np.uint8)
 INV = CONJ
 
 SYMBOLS = "01wW"
-_SYMBOL_TO_VALUE = {ch: value for value, ch in enumerate(SYMBOLS)}
+# A 256-entry table from each symbol's byte to its value.
+_SYMBOL_VALUES = bytes.maketrans(SYMBOLS.encode(), bytes(range(4)))
 
 
 def add(a: int, b: int) -> int:
@@ -87,11 +88,18 @@ def elements(values) -> np.ndarray:
 
 
 def from_symbols(text: str) -> np.ndarray:
-    """Parse a symbol string like ``'1wW0'`` (whitespace ignored)."""
-    try:
-        return np.array([_SYMBOL_TO_VALUE[ch] for ch in "".join(text.split())], dtype=np.uint8)
-    except KeyError as e:
-        raise ValueError(f"invalid symbol {e.args[0]!r}, expected one of {SYMBOLS!r}") from None
+    """Parse a symbol string like ``'1wW0'`` (whitespace ignored).
+
+    Raises:
+        ValueError: naming the first character that is not a symbol.
+    """
+    text = "".join(text.split())
+    # One byte per character; a non-ASCII one becomes "?", not a symbol.
+    raw = text.encode("ascii", "replace")
+    if raw.translate(None, SYMBOLS.encode()):
+        bad = next(ch for ch in text if ch not in SYMBOLS)
+        raise ValueError(f"invalid symbol {bad!r}, expected one of {SYMBOLS!r}")
+    return np.frombuffer(bytearray(raw.translate(_SYMBOL_VALUES)), dtype=np.uint8)
 
 
 def to_symbols(v: np.ndarray) -> str:

@@ -5,10 +5,13 @@ through the tables in :mod:`hlcd4.gf4`.  Row reduction has one eliminator,
 ``_eliminate``, shared by ``rref`` and the minimum-weight engine's
 information sets: it works on the matrix's two bit planes, packed as in
 :mod:`hlcd4.gf4`, each held as one Python int, and clears a pivot column
-in every row with a few whole-matrix integer operations.  Row reduction
-picks the first nonzero entry scanning top-to-bottom in the leftmost
-unresolved column, so the reduced form is deterministic and serves as the
-canonical representative for code equality.
+in every row with a few whole-matrix integer operations.  A pivot column
+that is already the unit column of its row takes one test and no row
+operations, so a matrix already in reduced form, like (I | A), costs about
+one test per row.  Row reduction picks the first nonzero entry scanning
+top-to-bottom in the leftmost unresolved column, so the reduced form is
+deterministic and serves as the canonical representative for code
+equality; ``rank`` counts its pivots without unpacking it.
 """
 
 from __future__ import annotations
@@ -76,8 +79,10 @@ def _eliminate(lo: int, hi: int, rows: int, stride: int, first: int) -> tuple[in
         while mask and later:
             bit = mask & -mask
             c = bit.bit_length() - 1
-            # The later rows nonzero in column c, by the first bit of each.
-            either = (lo | hi) >> c & later
+            # Column c's entry bits in every row, by the first bit of each,
+            # and the later rows nonzero in it.
+            e0, e1 = lo >> c & ones, hi >> c & ones
+            either = (e0 | e1) & later
             if not either:
                 # The columns of the mask below the next pivot are zero in
                 # the later rows: the next pivot is the lowest column of the
@@ -92,32 +97,43 @@ def _eliminate(lo: int, hi: int, rows: int, stride: int, first: int) -> tuple[in
                     break
                 bit = rest & -rest
                 c = bit.bit_length() - 1
-                either = (lo | hi) >> c & later
-            # Rows p (the first later row nonzero in column c) and r, by
-            # their first bits.
-            sp = (either & -either).bit_length() - 1
+                e0, e1 = lo >> c & ones, hi >> c & ones
+                either = (e0 | e1) & later
+            # Row r, the next pivot row, by its first bit.  A column that
+            # is already row r's unit column has nothing to clear or move.
             sr = stride * len(pivots)
-            # The pivot's leading entry is w^(lead - 1).  Rotated by it, the
-            # multiples of row p give a = the row scaled to a leading 1 and
-            # b = w a, so a row with entry e0 + e1 w in column c clears it
-            # by adding e0 a + e1 b.
-            p0, p1 = lo >> sp & row, hi >> sp & row
-            multiples = _plane_multiples(p0, p1)
-            i = (1 - ((p0 >> c & 1) | (p1 >> c & 1) << 1)) % 3
-            (a0, a1), (b0, b1) = multiples[i], multiples[i - 2]
-            # Every row at once: a row's entry bits times a multiple land on
-            # that row alone.  This zeroes row p too.
-            e0, e1 = lo >> c & ones, hi >> c & ones
-            lo ^= e0 * a0 ^ e1 * b0
-            hi ^= e0 * a1 ^ e1 * b1
-            # Row r moves to row p, and a to row r.
-            r0, r1 = lo >> sr & row, hi >> sr & row
-            lo ^= r0 << sp ^ (r0 ^ a0) << sr
-            hi ^= r1 << sp ^ (r1 ^ a1) << sr
+            if e0 != 1 << sr or e1:
+                # Row p, the first later row nonzero in column c, by its
+                # first bit.
+                sp = (either & -either).bit_length() - 1
+                # The pivot's leading entry is w^(lead - 1).  Rotated by it,
+                # the multiples of row p give a = the row scaled to a
+                # leading 1 and b = w a, so a row with entry e0 + e1 w in
+                # column c clears it by adding e0 a + e1 b.
+                p0, p1 = lo >> sp & row, hi >> sp & row
+                multiples = _plane_multiples(p0, p1)
+                i = (1 - ((p0 >> c & 1) | (p1 >> c & 1) << 1)) % 3
+                (a0, a1), (b0, b1) = multiples[i], multiples[i - 2]
+                # Every row at once: a row's entry bits times a multiple
+                # land on that row alone.  This zeroes row p too.
+                lo ^= e0 * a0 ^ e1 * b0
+                hi ^= e0 * a1 ^ e1 * b1
+                # Row r moves to row p, and a to row r.
+                r0, r1 = lo >> sr & row, hi >> sr & row
+                lo ^= r0 << sp ^ (r0 ^ a0) << sr
+                hi ^= r1 << sp ^ (r1 ^ a1) << sr
             pivots.append(c)
             mask &= -(bit << 1)
             later &= later - 1
     return lo, hi, pivots
+
+
+def _reduce(m: np.ndarray) -> tuple[int, int, list[int]]:
+    """The packed reduced planes of ``m`` in column order, and its pivots."""
+    rows, cols = m.shape
+    stride = _stride(cols)
+    planes = _to_ints(_pack_planes(m, stride // 8))
+    return _eliminate(*planes, rows, stride, (1 << cols) - 1)
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -129,15 +145,13 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         space of R equals the row space of m.
     """
     m = np.asarray(m, dtype=np.uint8)
-    rows, cols = m.shape
-    stride = _stride(cols)
-    planes = _to_ints(_pack_planes(m, stride // 8))
-    *planes, pivots = _eliminate(*planes, rows, stride, (1 << cols) - 1)
-    return _unpack_planes(_from_ints(planes, rows, cols), cols), pivots
+    *planes, pivots = _reduce(m)
+    return _unpack_planes(_from_ints(planes, *m.shape), m.shape[1]), pivots
 
 
 def rank(m: np.ndarray) -> int:
-    return len(rref(m)[1])
+    """The number of pivots of the reduced form, which is not unpacked."""
+    return len(_reduce(np.asarray(m, dtype=np.uint8))[2])
 
 
 def _null_basis(r: np.ndarray, pivots) -> np.ndarray:
