@@ -62,6 +62,23 @@ def test_symbols_round_trip():
         gf4.from_symbols("01x")
 
 
+@pytest.mark.parametrize("text, bad", [("01x", "x"), ("1w \u00e90", "\u00e9"), ("0?1", "?"), ("W\u20ac", "\u20ac")])
+def test_from_symbols_names_the_first_bad_character(text, bad):
+    # A non-ASCII character is named itself, not the "?" it is read as.
+    with pytest.raises(ValueError) as exc:
+        gf4.from_symbols(text)
+    assert str(exc.value) == f"invalid symbol {bad!r}, expected one of '01wW'"
+
+
+def test_from_symbols_decodes_every_symbol(rng):
+    values = rng.integers(0, 4, size=300)
+    text = " ".join("".join(gf4.SYMBOLS[x] for x in values[i : i + 7]) for i in range(0, 300, 7))
+    v = gf4.from_symbols(text)
+    assert v.dtype == np.uint8 and v.tolist() == values.tolist()
+    v[0] ^= 1  # a fresh, writable array
+    assert gf4.from_symbols("").shape == (0,)
+
+
 def test_vector_builder():
     assert gf4.vector("1wW").tolist() == [1, 2, 3]
     assert gf4.vector([0, 3]).tolist() == [0, 3]

@@ -151,6 +151,49 @@ def test_rref_commutes_with_conjugation(m):
     assert np.array_equal(conj_R, gf4.CONJ[R]) and conj_pivots == pivots
 
 
+@st.composite
+def mixed_standard(draw):
+    """An (I_k | A) matrix, k <= 12 and n <= 70, with its rows mixed by a
+    random invertible matrix: its reduced form is (I_k | A) again."""
+    n = draw(st.integers(1, 70))
+    k = draw(st.integers(1, min(n, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
+    return linalg.multiply(random_full_rank(rng, k, k), np.hstack([linalg.identity(k), a]))
+
+
+def eliminated(m, first):
+    """``linalg._eliminate`` on the packed planes of ``m``, unpacked."""
+    rows, cols = m.shape
+    stride = gf4._stride(cols)
+    planes = gf4._to_ints(gf4._pack_planes(m, stride // 8))
+    lo, hi, pivots = linalg._eliminate(*planes, rows, stride, first)
+    return gf4._unpack_planes(gf4._from_ints((lo, hi), rows, cols), cols), pivots
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(matrices(), mixed_standard()), st.data())
+def test_eliminate_is_unique_for_a_column_order(m, data):
+    # The columns of ``first`` come first, then the rest.  For that order
+    # the matrix, its reduced form in column order, and its reduced form
+    # for the order itself, which is (I | A) on the pivots, give the same
+    # planes and pivots; the last two meet unit columns at some or all of
+    # their pivots, and the unit-column test must leave them as they are.
+    # Gauss-Jordan on the reordered symbols is the reference.
+    rows, cols = m.shape
+    everything = (1 << cols) - 1
+    first = data.draw(st.sampled_from([everything, 0]) | st.integers(0, everything))
+    order = [c for c in range(cols) if first >> c & 1] + [c for c in range(cols) if not first >> c & 1]
+    reduced, pivots = naive_rref(m[:, order])
+    want = np.empty_like(m)
+    want[:, order] = reduced
+    want_pivots = [order[p] for p in pivots]
+    for basis in (m, linalg.rref(m)[0], want):
+        got, got_pivots = eliminated(basis, first)
+        assert np.array_equal(got, want) and got_pivots == want_pivots
+    assert linalg.rank(m) == len(pivots)
+
+
 def test_rank_basics(rng):
     assert linalg.rank(linalg.identity(5)) == 5
     assert linalg.rank(linalg.zeros(3, 4)) == 0

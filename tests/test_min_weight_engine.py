@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlcd4 import code, linalg
+from hlcd4 import code, gf4, linalg
 from hlcd4.code import (
     LinearCode,
     _information_sets,
@@ -175,6 +175,56 @@ def test_information_sets_match_symbol_reference(gen):
             for a, b in zip(*streams):
                 assert np.array_equal(a, b)
             assert g.kept == w.kept
+
+
+def information_sets_per_set(gen):
+    """The information sets from the same eliminations as
+    ``_information_sets``, each set's table converted from its packed ints
+    and transposed on its own."""
+    k, n = gen.shape
+    stride = gf4._stride(n)
+    lo, hi = gf4._to_ints(gf4._pack_planes(gen, stride // 8))
+    ones = ((1 << stride * k) - 1) // ((1 << stride) - 1)
+    words = -(-(n - k) // 64) or 1
+    unused = (1 << n) - 1
+    sets = []
+    while unused:
+        lo, hi, pivots = linalg._eliminate(lo, hi, k, stride, unused)
+        taken = sum(1 << c for c in pivots)
+        fresh = taken & unused
+        if not fresh:
+            break
+        free = (1 << n) - 1 ^ taken
+        if words < -(-n // 64):
+            a = [code._compact(x, free, ones) for x in (lo, hi)]
+        else:
+            a = [x & free * ones for x in (lo, hi)]
+        multiples = [x for plane in zip(*gf4._plane_multiples(*a)) for x in plane]
+        rows = gf4._from_ints(multiples, k, n)[..., :words].reshape(2, 3, k, words)
+        rows = np.ascontiguousarray(rows.transpose(0, 3, 2, 1))
+        sets.append(_InfoSet(k - fresh.bit_count(), rows, rows[:, :, :, 0]))
+        unused ^= fresh
+    return sets
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(edge_generators())
+@example(K_ONE)
+@example(K_FULL)
+@example(LATE[0])
+@example(LATE[1])
+@example(WIDE_RATE[0])
+@example(WIDE_RATE[1])
+def test_information_sets_are_views_of_one_array(gen):
+    # The same deficits and the same tables, word for word, as sets built
+    # one at a time; every table a view of one array.
+    got, want = _information_sets(gen), information_sets_per_set(gen)
+    assert [s.deficit for s in got] == [s.deficit for s in want]
+    for g, w in zip(got, want):
+        assert g.rows.dtype == w.rows.dtype and np.array_equal(g.rows, w.rows)
+        assert np.array_equal(g.layer, w.layer) and g.kept == w.kept == 1
+        assert g.rows.flags.c_contiguous and g.rows.base is not None
+        assert g.rows.base is got[0].rows.base
 
 
 @PROPERTY
