@@ -2,11 +2,16 @@
 
 Generator matrices travel in a plain text format: optional ``#`` comment
 lines, then k rows of n symbols from {0, 1, w, W} (w is the primitive
-element, W its square), whitespace between symbols optional.  Files emitted
-by subcommands carry a ``#`` provenance header recording the command and
-the options it declares (under their first flag), the seed where
-applicable, and the SHA-256 of the parent file; timing never enters the
-header, so reruns of a seeded command are byte-identical.
+element, W its square), whitespace between symbols optional.  The zero
+code (k = 0) of length n is written as a comment and one all-zero row of n
+symbols: a body whose rows are all zero reads as the zero code.
+``LinearCode.from_symbols`` reads the full format and is the package's one
+reader; ``parse_code_file`` calls it, so every file a subcommand writes
+reads back to the code it holds.  Files emitted by subcommands carry a
+``#`` provenance header recording the command and the options it declares
+(under their first flag), the seed where applicable, and the SHA-256 of the
+parent file; timing never enters the header, so reruns of a seeded command
+are byte-identical.
 Search is serial and its result depends only on the seed and the candidate
 index; ``search --threads`` is accepted and ignored.
 
@@ -28,10 +33,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, linalg
+from . import __version__
 from .code import _DEFAULT_BUDGET, CodeSummary, LinearCode
-from .errors import CodeFileError, Hlcd4Error, RankDeficientError
-from .gf4 import SYMBOLS, from_symbols, to_symbols
+from .errors import Hlcd4Error
+from .gf4 import from_symbols, to_symbols
 from .search import SearchConfig, Strategy, VerifyStatus, search, verify_bounds
 from .tables import BoundsTable
 from .transform import (
@@ -45,43 +50,25 @@ from .transform import (
 
 
 def parse_code_file(text: str) -> LinearCode:
-    """Parse the code-file format into a LinearCode.
+    """Parse the code-file format into a LinearCode; see ``LinearCode.from_symbols``.
 
     Raises:
         CodeFileError: on bad symbols (with line and column), unequal row
             lengths, or an empty body.
-        RankDeficientError: when the matrix rows are dependent.
+        RankDeficientError: when the rows are dependent and not all zero.
     """
-    rows = []
-    row_lines = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            rows.append(from_symbols(line))
-        except ValueError:
-            # Locate the first bad symbol for the report.
-            col = next(c for c, ch in enumerate(line, 1) if not ch.isspace() and ch not in SYMBOLS)
-            message = f"invalid symbol {line[col - 1]!r}"
-            raise CodeFileError(message, line=lineno, column=col) from None
-        row_lines.append(lineno)
-    if not rows:
-        raise CodeFileError("no matrix rows in input")
-    n = len(rows[0])
-    for r, lineno in zip(rows, row_lines):
-        if len(r) != n:
-            raise CodeFileError(f"row has {len(r)} symbols, expected {n}", line=lineno)
-    return LinearCode(np.vstack(rows))
+    return LinearCode.from_symbols(text)
 
 
 def emit_code_file(matrix: np.ndarray, header: Optional[list] = None) -> str:
-    """Render a generator matrix in the code-file format."""
+    """Render a generator matrix in the code-file format; a k = 0 matrix is
+    written as one all-zero row, which reads back as the zero code."""
     lines = [f"# hlcd4 {__version__}"]
     for h in header or []:
         lines.append(f"# {h}")
     if matrix.shape[0] == 0:
-        lines.append("# zero code (k = 0); no rows")
+        lines.append("# zero code (k = 0): one all-zero row")
+        matrix = np.zeros((1, matrix.shape[1]), dtype=np.uint8)
     for row in matrix:
         lines.append(to_symbols(row))
     return "\n".join(lines) + "\n"
@@ -252,7 +239,8 @@ def _cmd_verify_table(args) -> int:
             continue
         try:
             code = parse_code_file(path.read_text(encoding="utf-8"))
-        except (CodeFileError, RankDeficientError) as e:
+            table.entry(code.n, code.k)  # no summary for a code outside the table
+        except Hlcd4Error as e:
             # One file of many: the error report names it.
             e.file = e.fields["file"] = path.name
             raise

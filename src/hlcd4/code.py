@@ -37,10 +37,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .errors import BudgetExceededError, RankDeficientError, TooLargeError
+from .errors import BudgetExceededError, CodeFileError, RankDeficientError, TooLargeError
 from .gf4 import (
     CONJ,
     MUL,
+    SYMBOLS,
     _from_ints,
     _pack_planes,
     _plane_multiples,
@@ -109,13 +110,40 @@ class LinearCode:
 
     @classmethod
     def from_symbols(cls, text: str) -> "LinearCode":
-        """Build a code from newline-separated symbol rows like ``"10\\n01"``."""
-        rows = [from_symbols(line) for line in text.strip().splitlines() if line.strip()]
+        """Read a code from the code-file format, e.g. ``"# note\\n10\\n01"``.
+
+        Blank lines and ``#`` comment lines are skipped; every other line is
+        one row of symbols from {0, 1, w, W}, whitespace between symbols
+        optional.  A body whose rows are all zero is the zero code of that
+        length, which is how a k = 0 code is written.
+
+        Raises:
+            CodeFileError: a ValueError, on a bad symbol (with line and
+                column), unequal row lengths (with line), or no rows.
+            RankDeficientError: when the rows are dependent and not all zero.
+        """
+        rows = []
+        row_lines = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            try:
+                rows.append(from_symbols(line))
+            except ValueError:
+                # Locate the first bad symbol for the report.
+                bad = next(ch for ch in line if not ch.isspace() and ch not in SYMBOLS)
+                col = line.index(bad) + 1
+                raise CodeFileError(f"invalid symbol {bad!r}", line=lineno, column=col) from None
+            row_lines.append(lineno)
         if not rows:
-            raise ValueError("no rows given")
-        if len({len(r) for r in rows}) != 1:
-            raise ValueError("rows have unequal lengths")
-        return cls(np.vstack(rows))
+            raise CodeFileError("no matrix rows in input")
+        n = len(rows[0])
+        for r, lineno in zip(rows, row_lines):
+            if len(r) != n:
+                raise CodeFileError(f"row has {len(r)} symbols, expected {n}", line=lineno)
+        gen = np.vstack(rows)
+        return cls(gen if gen.any() else gen[:0])
 
     @property
     def n(self) -> int:

@@ -79,11 +79,12 @@ class NoPairExistsError(Hlcd4Error):
     """No isotropic vector pair exists at the requested length."""
 
 
-class CodeFileError(Hlcd4Error):
+class CodeFileError(Hlcd4Error, ValueError):
     """A generator-matrix file does not conform to the expected format.
 
-    The message ends with the location given by the fields ``line`` and
-    ``column``, where they are known.
+    It is also a ValueError, the error ``LinearCode.from_symbols`` documents
+    for malformed text.  The message ends with the location given by the
+    fields ``line`` and ``column``, where they are known.
     """
 
     def __init__(self, message, line=None, column=None):

@@ -246,6 +246,11 @@ def lcd_exactly_one(code: LinearCode, coord: int) -> Derivative:
     exactly one of the punctured and shortened codes at any coordinate is
     LCD; this returns which.
 
+    The hypothesis needs no enumeration: a code holds a weight-1 word on
+    coordinate i exactly when column i of its dual's generator is zero.  So
+    the minimum weight is at least 2 when the dual's generator has no zero
+    column, and the dual's is when the code's own generator has none.
+
     Raises:
         PreconditionError: if the code is not LCD, or either minimum weight
             is below 2 (the dichotomy can fail there); the message says
@@ -253,10 +258,9 @@ def lcd_exactly_one(code: LinearCode, coord: int) -> Derivative:
     """
     if not code.is_lcd():
         raise PreconditionError("input code is not LCD")
-    if code.k >= 1 and code.min_weight() < 2:
+    if not code.hermitian_dual().gen.any(axis=0).all():
         raise PreconditionError("minimum weight must be at least 2")
-    dual = code.hermitian_dual()
-    if dual.k >= 1 and dual.min_weight() < 2:
+    if not code.gen.any(axis=0).all():
         raise PreconditionError("dual minimum weight must be at least 2")
     p_lcd = puncture(code, coord).is_lcd()
     s_lcd = shorten(code, coord).is_lcd()
@@ -330,6 +334,13 @@ def lcd_column_parity(code: LinearCode) -> list[CoordinateParity]:
     determinant contribution is 1 + wt(l_i) mod 2.  So the punctured code
     at i is LCD exactly when wt(l_i) is even, and by the one-coordinate
     dichotomy the shortened code is LCD exactly when wt(l_i) is odd.
+
+    Both flags are exact only when the code and its dual both have minimum
+    weight at least 2, the dichotomy's hypothesis; otherwise
+    ``shorten_is_lcd`` is only the negation of ``puncture_is_lcd``.  For
+    example, deleting any coordinate of the full [3,3] code either way
+    gives the full [2,2] code, which is LCD, yet ``puncture_is_lcd`` is
+    False at every coordinate.
 
     Raises:
         NotLcdError: if the code is not LCD.

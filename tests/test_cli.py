@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from hlcd4 import cli, linalg
 from hlcd4.code import LinearCode
 from hlcd4.errors import CodeFileError, RankDeficientError
-from hlcd4.search import elliptic_quadric_code, random_lcd
+from hlcd4.gf4 import from_symbols
+from hlcd4.search import SearchConfig, elliptic_quadric_code, random_lcd, search
+from hlcd4.transform import axy_construct, puncture, shorten
 
 from conftest import code_with_hull
 
@@ -43,10 +45,23 @@ def test_parse_round_trip():
 
 
 def test_parse_zero_code_emission():
-    text = cli.emit_code_file(np.zeros((0, 4), dtype=np.uint8))
+    # A k = 0 code is written as one all-zero row, and reads back.
+    zero = LinearCode(np.zeros((0, 4), dtype=np.uint8))
+    text = cli.emit_code_file(zero.gen)
     assert "zero code" in text
-    with pytest.raises(CodeFileError):
-        cli.parse_code_file(text)  # no rows to parse
+    assert text.splitlines()[-1] == "0000"
+    assert cli.parse_code_file(text) == zero
+
+
+def test_all_zero_body_is_the_zero_code():
+    # Any number of all-zero rows is the zero code of their length; a zero
+    # row beside a nonzero one is still a dependent row.
+    assert cli.parse_code_file("# c\n000\n0 0 0\n") == LinearCode(linalg.zeros(0, 3))
+    with pytest.raises(RankDeficientError):
+        cli.parse_code_file("000\n1w0\n")
+    # The format error is also the ValueError that from_symbols documents.
+    with pytest.raises(ValueError):
+        LinearCode.from_symbols("10\n0x\n")
 
 
 # Text over the format's symbols, whitespace, comment marks and every line
@@ -68,6 +83,20 @@ def test_parse_raises_only_format_errors(text):
     except (CodeFileError, RankDeficientError):
         return
     assert cli.parse_code_file(cli.emit_code_file(code.gen)) == code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_CODE_TEXT)
+def test_one_reader(text):
+    # The CLI's reader and LinearCode.from_symbols agree on every text: the
+    # same code, or the same error type with the same fields.
+    def read(reader):
+        try:
+            return reader(text)
+        except (CodeFileError, RankDeficientError) as e:
+            return type(e), str(e), e.fields
+
+    assert read(LinearCode.from_symbols) == read(cli.parse_code_file)
 
 
 def test_parse_errors_carry_location():
@@ -205,6 +234,35 @@ def test_axy_cli(tmp_path, capsys):
     assert out.hull_dim() == c.hull_dim() == 0
 
 
+def test_every_written_code_reads_back(tmp_path, capsys):
+    # Each code-writing command writes a file that parses back to the code
+    # it derived, zero codes included, and that info reads.
+    lcd = random_lcd(10, 6, 3)
+    x, y = "1100", "0011"
+    cases = [
+        (lcd, ["dual"], lcd.hermitian_dual()),
+        (LinearCode(linalg.identity(3)), ["dual"], LinearCode(linalg.zeros(0, 3))),
+        (lcd, ["puncture", "-t", "2,5"], puncture(lcd, [2, 5])),
+        (lcd, ["shorten", "-t", "3"], shorten(lcd, 3)),
+        (LinearCode.from_symbols("100"), ["shorten", "-t", "1"], LinearCode(linalg.zeros(0, 2))),
+        (lcd, ["orthonormalize"], lcd),
+        (lcd, ["axy", "--x", x, "--y", y], axy_construct(lcd, from_symbols(x), from_symbols(y))),
+    ]
+    for i, (parent, argv, expected) in enumerate(cases):
+        path = write_code(tmp_path / f"parent{i}.code", parent)
+        out = tmp_path / f"child{i}.code"
+        assert cli.main([argv[0], path, *argv[1:], "-o", str(out)]) == 0
+        assert cli.parse_code_file(out.read_text()) == expected, argv
+        assert cli.main(["info", str(out), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == expected.k
+    config = SearchConfig(n=14, k=10, target_d=3, seed=1, budget=1000)
+    out = tmp_path / "hit.code"
+    argv = ["search", "--n", "14", "--k", "10", "--target-d", "3", "--seed", "1"]
+    assert cli.main([*argv, "--budget", "1000", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.parse_code_file(out.read_text()) == search(config).found
+
+
 def test_provenance_headers(tmp_path, capsys):
     # each header names the command and its declared options under their
     # first flag, whatever spelling or order was typed
@@ -324,6 +382,29 @@ def test_verify_table_names_the_bad_file(tmp_path, capsys):
         assert err["file"] == "b_bad.code"
         assert {key: err[key] for key in ("line", "column") if key in err} == fields
     assert err["error"] == "RankDeficientError"
+
+
+def test_verify_table_names_an_out_of_table_file(tmp_path, capsys):
+    # A [2,2] code and a zero code read back, but the table has no entry
+    # for either: the error names the file, and no record is printed.
+    results = tmp_path / "results"
+    results.mkdir()
+    write_code(results / "a_good.code", random_lcd(14, 10, 1))
+    for name, code in (
+        ("b_full.code", LinearCode(linalg.identity(2))),
+        ("b_zero.code", LinearCode(linalg.zeros(0, 3))),
+    ):
+        path = results / name
+        write_code(path, code)
+        assert cli.main(["verify-table", "--results", str(results)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "UnknownEntryError",
+            "message": f"no bounds entry for ({code.n},{code.k})",
+            "file": name,
+        }
+        path.unlink()
 
 
 def test_verify_table_reports_bad_bounds_csv(tmp_path, capsys):

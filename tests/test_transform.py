@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hlcd4 import linalg
-from hlcd4.code import LinearCode
+from hlcd4.code import LinearCode, min_weight_oracle
 from hlcd4.errors import (
     AllCoordinatesDeletedError,
     Hlcd4Error,
@@ -318,6 +318,37 @@ def test_lcd_exactly_one_preconditions(rng):
     assert dual_weight_one.is_lcd() and dual_weight_one.min_weight() == 2
     with pytest.raises(PreconditionError, match="dual"):
         lcd_exactly_one(dual_weight_one, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_lcd_exactly_one_hypothesis_matches_exact_weights(data):
+    # The zero-column tests refuse a code exactly when the exact minimum
+    # weights say so, with the same message, over k = 0..n; planted zero
+    # columns and weight-1 rows reach both refusals often.
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    gen = rng.integers(0, 4, size=(k, n), dtype=np.uint8)
+    if k and data.draw(st.booleans(), label="zero column"):
+        gen[:, rng.integers(n)] = 0
+    if k and data.draw(st.booleans(), label="weight-1 row"):
+        gen[0] = 0
+        gen[0, rng.integers(n)] = rng.integers(1, 4)
+    assume(linalg.rank(gen) == k)
+    c = LinearCode(gen)
+    dual = c.hermitian_dual()
+    if not c.is_lcd():
+        refusal = "^input code is not LCD$"
+    elif c.k and min_weight_oracle(c) < 2:
+        refusal = "^minimum weight must be at least 2$"
+    elif dual.k and min_weight_oracle(dual) < 2:
+        refusal = "^dual minimum weight must be at least 2$"
+    else:
+        assert lcd_exactly_one(c, 1) in Derivative
+        return
+    with pytest.raises(PreconditionError, match=refusal):
+        lcd_exactly_one(c, 1)
 
 
 # --- orthonormalization and the parity criterion ----------------------------
