@@ -14,8 +14,9 @@ matrices:
   [15,11,3] random draws, seed 1
 
 The [12,8,4] search scans ~59k candidates in well under a second (about
-0.03 s on a 2-vCPU host); the others are near-instant.  Every hit is re-verified with an exact
-minimum weight computation and checked against the shipped bounds table.
+0.02 s of CPU time on a shared 2-vCPU host, median of 25 runs); the
+others are near-instant.  Every hit is re-verified with an exact minimum
+weight computation and checked against the shipped bounds table.
 """
 
 from hlcd4 import (

@@ -40,6 +40,7 @@ from .gf4 import from_symbols, to_symbols
 from .search import SearchConfig, Strategy, VerifyStatus, search, verify_bounds
 from .tables import BoundsTable
 from .transform import (
+    _weight_hypothesis_failure,
     axy_construct,
     check_isotropic,
     lcd_column_parity,
@@ -163,6 +164,15 @@ def _cmd_derive(args) -> int:
 def _cmd_parity(args) -> int:
     code, _ = _read_code(args.file)
     reports = lcd_column_parity(code)
+    # Outside the dichotomy's hypothesis a verdict can be wrong: both
+    # derivatives can be LCD.  Say so on stderr; the verdicts still print.
+    failure = _weight_hypothesis_failure(code)
+    if failure is not None:
+        warning = {
+            "warning": "OutsideHypothesis",
+            "message": f"{failure}; the verdicts can be wrong",
+        }
+        print(json.dumps(warning), file=sys.stderr)
     if args.json:
         print(json.dumps([asdict(r) for r in reports]))
     else:

@@ -8,11 +8,18 @@ target.  Candidate i's A is numpy's ``default_rng([seed, i]).integers(0, 4,
 size=(k, n - k), dtype=uint8)``, reproduced for a block of consecutive
 indices at once (``_candidate_block``: the SeedSequence hash, PCG64 seeding
 and XSL-RR outputs on arrays of lanes) and checked against numpy in the
-tests.  The first block holds 1024 indices and each later one twice as
-many, up to about 2^17 drawn symbols (never fewer than 1024 indices): 4096
-at [12, 8].  One vectorised light weight test, over messages of weight at
-most 3, covers the whole block of drawn candidates at any length; it tests
-one message weight at a time and drops the candidates each part rejects.
+tests.  Of SeedSequence's four pool words only word 1, the index, depends
+on the lane until the second mixing round, so words 0, 2 and 3 and the
+first round's hashes are computed once per block, as Python ints; the
+eight hashed words pair into PCG64's four 64-bit seeding words through a
+uint64 view, the LCG steps in place and the symbols are shifted straight
+into the block.  All of it is integer arithmetic that wraps exactly as
+numpy's does, so the symbols are bit-identical to numpy's.  The first
+block holds 1024 indices and each later one twice as many, up to about
+2^17 drawn symbols (never fewer than 1024 indices): 4096 at [12, 8].  One
+vectorised light weight test, over messages of weight at most 3, covers
+the whole block of drawn candidates at any length; it tests one message
+weight at a time and drops the candidates each part rejects.
 Only its survivors, in index order, take the weight check (for targets
 above 4) and the LCD check.  The result is therefore the lowest hit index,
 a pure function of (seed, index): the block size never changes which
@@ -148,18 +155,16 @@ def _blocks(budget: int, k: int, m: int):
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier as high and low 64-bit limbs.
-_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _M32 = 0xFFFFFFFF
 
 
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    """The constants of ``calls`` successive hashmix calls, as a column:
-    call j xors with entry j and multiplies by entry j + 1."""
+def _hash_constants(init: int, mult: int, calls: int) -> list[int]:
+    """The constants of ``calls`` successive hashmix calls: call j xors with
+    entry j and multiplies by entry j + 1."""
     c = [init]
     for _ in range(calls):
         c.append(c[-1] * mult & _M32)
-    return np.array(c, dtype=np.uint32)[:, None]
+    return c
 
 
 # The pool mixing makes 16 hashmix calls, the output 8.
@@ -167,79 +172,191 @@ _POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 16)
 _OUT_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """Successive hashmix calls, one per row of ``consts[1:]``, broadcast
-    against ``value``."""
-    value = (value ^ consts[:-1]) * consts[1:]
+def _round_columns(src: int):
+    """The xor and multiply constants of source round ``src``'s hashmix
+    calls as (4, 1) uint32 columns, one row per pool word it mixes into;
+    the source's own row holds zeros."""
+    xor, mul = np.zeros((2, 4, 1), dtype=np.uint32)
+    dsts = [d for d in range(4) if d != src]
+    for call, d in enumerate(dsts, 4 + 3 * src):
+        xor[d], mul[d] = _POOL_HASH[call], _POOL_HASH[call + 1]
+    return xor, mul
+
+
+_ROUNDS = {src: _round_columns(src) for src in (1, 2, 3)}
+# Output word 4a + w hashes pool word w with call 4a + w: the constants as
+# (2, 4, 1) arrays indexed [a, w].
+_OUT_XOR = np.array(_OUT_HASH[:-1], dtype=np.uint32).reshape(2, 4, 1)
+_OUT_MUL = np.array(_OUT_HASH[1:], dtype=np.uint32).reshape(2, 4, 1)
+# PCG64's 128-bit LCG multiplier as high and low 64-bit limbs, and the low
+# limb's 32-bit halves, as numpy scalars for the in-place steps.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_HI, _PCG_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
+_PCG_LO1, _PCG_LO0 = np.uint64(_PCG_MULT >> 32 & _M32), np.uint64(_PCG_MULT & _M32)
+_U32, _U58 = np.uint64(32), np.uint64(58)
+
+
+def _hash_word(value: int, call: int) -> int:
+    """Pool hashmix call ``call`` on one word, a Python int below 2^32 (a
+    numpy scalar would warn when the product overflows)."""
+    value = (value ^ _POOL_HASH[call]) * _POOL_HASH[call + 1] & _M32
+    return value ^ value >> 16
+
+
+def _mix_word(x: int, y: int) -> int:
+    """SeedSequence's mix(x, y) = L * x - R * y on two Python-int words."""
+    value = _MIX_L * x - _MIX_R * y & _M32
     return value ^ value >> 16
 
 
 def _seed_states(seed: int, index: np.ndarray) -> np.ndarray:
     """``SeedSequence([seed, i]).generate_state(8, uint32)`` for each lane
-    i of ``index``, as an (8, lanes) uint32 array; seed and i below 2^32."""
-    # Entropy [seed, i] padded with zeros to the pool size of four words.
-    pool = np.zeros((4, len(index)), dtype=np.uint32)
-    pool[0], pool[1] = seed, index
-    pool = _hashmix(pool, _POOL_HASH[:5])
-    # Each word is hashed once for each of the other three words, with
-    # three successive constants, and mixed into them, all three at once.
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        hashed = _hashmix(pool[src], _POOL_HASH[4 + 3 * src : 8 + 3 * src])
-        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
-        pool[dst] = mixed ^ mixed >> 16
-    return _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_HASH)
+    i of ``index``, seed and i below 2^32, as a (4, lanes, 2) uint32 array
+    holding word 2j + h at [j, :, h]: its little-endian uint64 view is
+    ``generate_state(4, uint64)``.
+
+    The entropy [seed, i] is padded with zeros to four pool words.  Only
+    word 1, the index, depends on the lane until source round 1 mixes it
+    into the other three, so words 0, 2 and 3 and every hash of source
+    round 0 are computed once per block, as Python ints masked to 32 bits.  The lane
+    arithmetic wraps mod 2^32 as SeedSequence's own does, so every word is
+    bit-identical to numpy's."""
+    lanes = len(index)
+    word0, word2, word3 = _hash_word(seed, 0), _hash_word(0, 2), _hash_word(0, 3)
+    word1 = np.bitwise_xor(index, _POOL_HASH[1])
+    word1 *= _POOL_HASH[2]
+    word1 ^= word1 >> 16
+    # Source round 0: word 0's hashes into words 1, 2 and 3 are lane-free.
+    word1 *= _MIX_L
+    word1 -= _MIX_R * _hash_word(word0, 4) & _M32
+    word1 ^= word1 >> 16
+    word2 = _mix_word(word2, _hash_word(word0, 5))
+    word3 = _mix_word(word3, _hash_word(word0, 6))
+    # Source round 1 mixes word 1 into the lane-free words, mix(w, h) =
+    # L * w - R * h: computed in all four rows of the pool, then word 1 put
+    # back in its own row.
+    xor, mul = _ROUNDS[1]
+    pool = np.bitwise_xor(word1, xor)
+    pool *= mul
+    pool ^= pool >> 16
+    pool *= _MIX_R
+    scaled = [_MIX_L * w & _M32 for w in (word0, 0, word2, word3)]
+    np.subtract(np.array(scaled, dtype=np.uint32)[:, None], pool, out=pool)
+    pool ^= pool >> 16
+    pool[1] = word1
+    # Source rounds 2 and 3 likewise mix into all four rows and restore the
+    # source's own.
+    for src in (2, 3):
+        xor, mul = _ROUNDS[src]
+        kept = pool[src].copy()
+        hashed = np.bitwise_xor(kept, xor)
+        hashed *= mul
+        hashed ^= hashed >> 16
+        hashed *= _MIX_R
+        pool *= _MIX_L
+        pool -= hashed
+        pool ^= pool >> 16
+        pool[src] = kept
+    out = np.bitwise_xor(pool, _OUT_XOR)
+    out *= _OUT_MUL
+    out ^= out >> 16
+    # Output word 4a + 2b + h, from pool word 2b + h, goes to [2a + b, :, h].
+    states = np.empty((2, 2, lanes, 2), dtype=np.uint32)
+    states[..., 0] = out[:, 0::2]
+    states[..., 1] = out[:, 1::2]
+    return states.reshape(4, lanes, 2)
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
+def _pcg_step(state, inc, scratch):
     """One step of PCG64's LCG, state * multiplier + increment mod 2^128,
-    on lanes of (high, low) uint64 limbs."""
-    # High word of lo * _PCG_LO from 32-bit partial products; no sum below
-    # can pass 2^64.
-    lo0, lo1 = lo & _M32, lo >> 32
-    b0, b1 = _PCG_LO & _M32, _PCG_LO >> 32
-    t = lo1 * b0 + (lo0 * b0 >> 32)
-    u = lo0 * b1 + (t & _M32)
-    carry = lo1 * b1 + (t >> 32) + (u >> 32)
-    new_lo = lo * _PCG_LO + inc_lo
-    new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo)
-    return new_hi, new_lo
+    in place on lanes of (high, low) uint64 limbs: ``state`` and ``inc``
+    are (2, lanes) arrays, ``scratch`` four uint64 arrays and one bool
+    array of the lanes' length."""
+    hi, lo = state
+    a, b, c, d, carry = scratch
+    # The high word of lo * _PCG_LO from the 32-bit halves a, b of lo and
+    # b0, b1 of _PCG_LO; no sum below can pass 2^64.
+    np.bitwise_and(lo, _M32, out=a)
+    np.right_shift(lo, _U32, out=b)
+    np.multiply(a, _PCG_LO0, out=c)
+    c >>= _U32
+    np.multiply(b, _PCG_LO0, out=d)
+    c += d  # t = b * b0 + (a * b0 >> 32)
+    a *= _PCG_LO1
+    np.bitwise_and(c, _M32, out=d)
+    a += d  # u = a * b1 + (t & M)
+    b *= _PCG_LO1
+    c >>= _U32
+    b += c
+    a >>= _U32
+    b += a  # b * b1 + (t >> 32) + (u >> 32)
+    np.multiply(lo, _PCG_HI, out=d)
+    b += d
+    state *= _PCG_LO
+    state += inc
+    hi += b
+    np.less(lo, inc[1], out=carry)
+    hi += carry
 
 
-def _pcg_entries(seed: int, index: np.ndarray, size: int) -> np.ndarray:
-    """``default_rng([seed, i]).integers(0, 4, size, dtype=uint8)`` for each
-    lane i of ``index``: a (lanes, size) array; seed and i below 2^32."""
-    s = _seed_states(seed, index).astype(np.uint64)
-    # generate_state(4, uint64) pairs the words little-endian.
-    seed_hi, seed_lo, inc_hi, inc_lo = s[0::2] | s[1::2] << 32
+def _pcg_entries(seed: int, index: np.ndarray, out: np.ndarray) -> None:
+    """Write ``default_rng([seed, i]).integers(0, 4, size, dtype=uint8)``
+    for each lane i of ``index`` into row i of ``out``, a (lanes, size)
+    uint8 array; seed and i below 2^32."""
+    lanes, size = out.shape
+    # generate_state(4, uint64) pairs the words little-endian: the seed's
+    # high and low limbs, then the increment's.
+    words = _seed_states(seed, index).view("<u8")[..., 0]
+    seed_words, inc = words[:2], words[2:]
     # Set-seq seeding: state 0, increment (inc << 1) | 1, step, add the
     # seed, step.
-    inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
-    lo = inc_lo + seed_lo
-    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
-    words = np.empty((len(index), -(-size // 8)), dtype="<u8")
-    for t in range(words.shape[1]):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    inc_hi, inc_lo = inc
+    inc_hi <<= 1
+    inc_hi |= inc_lo >> 63
+    inc_lo <<= 1
+    inc_lo |= 1
+    state = inc + seed_words
+    state[0] += state[1] < seed_words[1]
+    scratch = [np.empty(lanes, dtype=np.uint64) for _ in range(4)]
+    scratch.append(np.empty(lanes, dtype=bool))
+    _pcg_step(state, inc, scratch)
+    hi, lo = state
+    # The rotation reuses two of the step's scratch arrays.
+    x, r = scratch[:2]
+    draws = np.empty((lanes, -(-size // 8)), dtype="<u8")
+    for t in range(draws.shape[1]):
+        _pcg_step(state, inc, scratch)
         # XSL-RR output: rotate hi ^ lo right by the top six bits.
-        x, r = hi ^ lo, hi >> 58
-        words[:, t] = x >> r | x << (64 - r & 63)
+        column = draws[:, t]
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, _U58, out=r)
+        np.right_shift(x, r, out=column)
+        np.subtract(64, r, out=r)
+        r &= 63
+        x <<= r
+        column |= x
     # integers() takes its uint8 draws from the little-endian bytes of the
     # outputs; Lemire's method with range 4 never rejects and keeps the
     # top two bits.
-    return words.view(np.uint8)[:, :size] >> 6
+    np.right_shift(draws.view(np.uint8)[:, :size], 6, out=out)
 
 
 def _candidate_block(seed: int, start: int, count: int, k: int, m: int) -> np.ndarray:
     """The (count, k, m) uint8 array whose row i is candidate start + i's
     ``_candidate_rng(seed, start + i).integers(0, 4, size=(k, m),
-    dtype=uint8)``, computed for every candidate at once.  A seed or index
-    of 2^32 or more makes SeedSequence take more entropy words; those
+    dtype=uint8)``, computed for every candidate at once.  Only the index
+    word of the SeedSequence pool varies across the block until the second
+    mixing round, so the other pool words and the first round's hashes are
+    computed once, as Python ints masked to 32 bits (``_seed_states``);
+    every lane operation wraps mod 2^32 or 2^64 as SeedSequence and PCG64
+    do, so each row is bit-identical to numpy's draw.  A seed or index of
+    2^32 or more makes SeedSequence take more entropy words; those
     candidates draw from numpy one at a time."""
     computed = max(0, min(count, 2**32 - start)) if seed < 2**32 else 0
     block = np.empty((count, k, m), dtype=np.uint8)
     if computed:
         index = np.arange(start, start + computed, dtype=np.uint32)
-        block[:computed] = _pcg_entries(seed, index, k * m).reshape(computed, k, m)
+        _pcg_entries(seed, index, block[:computed].reshape(computed, k * m))
     for i in range(computed, count):
         rng = _candidate_rng(seed, start + i)
         block[i] = rng.integers(0, 4, size=(k, m), dtype=np.uint8)

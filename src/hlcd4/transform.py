@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -239,17 +239,29 @@ class Derivative(Enum):
     SHORTENED = "shortened"
 
 
+def _weight_hypothesis_failure(code: LinearCode) -> Optional[str]:
+    """The half of the one-coordinate dichotomy's weight hypothesis (minimum
+    weight and dual minimum weight both at least 2) that ``code`` fails, or
+    None when it holds.
+
+    No enumeration is needed: a code holds a weight-1 word on coordinate i
+    exactly when column i of its dual's generator is zero.  So the minimum
+    weight is at least 2 when the dual's generator has no zero column, and
+    the dual's is when the code's own generator has none.
+    """
+    if not code.hermitian_dual().gen.any(axis=0).all():
+        return "minimum weight must be at least 2"
+    if not code.gen.any(axis=0).all():
+        return "dual minimum weight must be at least 2"
+    return None
+
+
 def lcd_exactly_one(code: LinearCode, coord: int) -> Derivative:
     """Delete one coordinate both ways and identify the LCD derivative.
 
     For an LCD code with minimum weight >= 2 and dual minimum weight >= 2,
     exactly one of the punctured and shortened codes at any coordinate is
     LCD; this returns which.
-
-    The hypothesis needs no enumeration: a code holds a weight-1 word on
-    coordinate i exactly when column i of its dual's generator is zero.  So
-    the minimum weight is at least 2 when the dual's generator has no zero
-    column, and the dual's is when the code's own generator has none.
 
     Raises:
         PreconditionError: if the code is not LCD, or either minimum weight
@@ -258,10 +270,9 @@ def lcd_exactly_one(code: LinearCode, coord: int) -> Derivative:
     """
     if not code.is_lcd():
         raise PreconditionError("input code is not LCD")
-    if not code.hermitian_dual().gen.any(axis=0).all():
-        raise PreconditionError("minimum weight must be at least 2")
-    if not code.gen.any(axis=0).all():
-        raise PreconditionError("dual minimum weight must be at least 2")
+    failure = _weight_hypothesis_failure(code)
+    if failure is not None:
+        raise PreconditionError(failure)
     p_lcd = puncture(code, coord).is_lcd()
     s_lcd = shorten(code, coord).is_lcd()
     if p_lcd == s_lcd:

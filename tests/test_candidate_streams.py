@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlcd4.search import _LANES, _candidate_block
+from hlcd4.search import _LANES, _candidate_block, _seed_states
 
 
 def numpy_block(seed, start, count, k, m):
@@ -39,11 +39,27 @@ def assert_matches_numpy(seed, start, count, k, m):
 )
 @example(seed=15, start=59000, count=8, k=8, m=4)  # the [12,8,4] record's hit
 @example(seed=15, start=3072, count=4096, k=8, m=4)  # a block grown to its cap at k·m = 32
+@example(seed=2**31, start=40960, count=4096, k=8, m=4)  # a full block at a later index
+@example(seed=1, start=1024, count=_LANES, k=15, m=15)  # [30,15]: k·m = 225, a partial last word
 @example(seed=0, start=0, count=1, k=1, m=1)
 @example(seed=3, start=0, count=5, k=4, m=0)  # k = n: nothing is drawn
 @example(seed=2**32 - 1, start=2**32 - 1, count=2, k=3, m=3)
 def test_candidate_block_matches_numpy(seed, start, count, k, m):
     assert_matches_numpy(seed, start, count, k, m)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1])
+def test_seed_states_match_seed_sequence(seed):
+    # The hash stage alone, so that a wrong folded constant fails here and
+    # not only as a wrong symbol further on.
+    index = np.array([0, 1, 2**32 - 1], dtype=np.uint32)
+    states = _seed_states(seed, index)
+    assert states.dtype == np.uint32 and states.shape == (4, len(index), 2)
+    for lane, i in enumerate(index.tolist()):
+        sequence = np.random.SeedSequence([seed, i])
+        assert np.array_equal(states[:, lane].ravel(), sequence.generate_state(8, np.uint32))
+        paired = states.view("<u8")[:, lane, 0]
+        assert np.array_equal(paired, sequence.generate_state(4, np.uint64))
 
 
 @pytest.mark.parametrize(

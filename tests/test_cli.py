@@ -217,6 +217,36 @@ def test_parity_text(tmp_path, capsys):
     assert lines[0].startswith("coordinate 1:")
 
 
+@pytest.mark.parametrize(
+    "symbols, failure",
+    [
+        ("100\n010\n001", "minimum weight must be at least 2"),  # the full [3,3] code
+        ("000", "dual minimum weight must be at least 2"),  # the zero code [3,0]
+        (LCD_42, "dual minimum weight must be at least 2"),  # its zero column
+    ],
+)
+def test_parity_warns_outside_the_hypothesis(tmp_path, capsys, symbols, failure):
+    # Outside the dichotomy's hypothesis parity still prints its verdicts
+    # and exits 0, with one JSON warning on stderr naming the failed half.
+    code = LinearCode.from_symbols(symbols)
+    path = write_code(tmp_path / "c.code", code)
+    assert cli.main(["parity", path, "--json"]) == 0
+    captured = capsys.readouterr()
+    assert len(json.loads(captured.out)) == code.n
+    warning = json.loads(captured.err)
+    assert warning["warning"] == "OutsideHypothesis"
+    assert warning["message"].startswith(failure)
+
+
+def test_parity_inside_the_hypothesis_does_not_warn(tmp_path, capsys):
+    # An LCD [4,2,2] code whose dual has minimum weight 2 as well.
+    path = write_code(tmp_path / "c.code", LinearCode.from_symbols("10WW\n010w"))
+    assert cli.main(["parity", path]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 4
+    assert captured.err == ""
+
+
 def test_axy_cli(tmp_path, capsys):
     c = random_lcd(10, 6, 3)
     path = write_code(tmp_path / "c.code", c)
