@@ -14,6 +14,8 @@ parent file; timing never enters the header, so reruns of a seeded command
 are byte-identical.
 Search is serial and its result depends only on the seed and the candidate
 index; ``search --threads`` is accepted and ignored.
+Each ``main`` call builds a parser that lists every subcommand but adds the
+options of the one it runs only, which is most of the parser's cost.
 
 Exit codes: 0 success, 1 domain error (a JSON object describing it goes to
 standard error), 2 usage error.  ``pair-check`` also exits 1 for a pair that
@@ -286,58 +288,40 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="hlcd4",
-        description="Hermitian LCD codes over the four-element field.",
+def _add_output(sp) -> None:
+    sp.add_argument("-o", "--output", help="write the code file here instead of stdout")
+
+
+def _add_budget(sp) -> None:
+    sp.add_argument("--exact-d", action="store_true", help="never truncate the weight scan")
+    sp.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=_DEFAULT_BUDGET,
+        help="max enumerated codewords for min weight (default %(default)s)",
     )
-    p.add_argument("--version", action="version", version=f"hlcd4 {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
 
-    def add_output(sp):
-        sp.add_argument("-o", "--output", help="write the code file here instead of stdout")
 
-    def add_budget(sp):
-        sp.add_argument("--exact-d", action="store_true", help="never truncate the weight scan")
-        sp.add_argument(
-            "--budget",
-            type=_positive_int,
-            default=_DEFAULT_BUDGET,
-            help="max enumerated codewords for min weight (default %(default)s)",
-        )
-
-    def add_derive(name):
-        help_text, options, _ = _DERIVE[name]
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("file")
-        for flags, option_help in options:
-            sp.add_argument(*flags, required=True, help=option_help)
-        add_output(sp)
-        sp.set_defaults(func=_cmd_derive)
-
-    sp = sub.add_parser("info", help="summarize a code file")
+def _info_options(sp) -> None:
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
-    add_budget(sp)
+    _add_budget(sp)
     sp.set_defaults(func=_cmd_info)
 
-    # parity stays between orthonormalize and axy in the subcommand listing.
-    for name in ("dual", "puncture", "shorten", "orthonormalize"):
-        add_derive(name)
 
-    sp = sub.add_parser("parity", help="column-parity LCD report per coordinate")
+def _parity_options(sp) -> None:
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_parity)
 
-    add_derive("axy")
 
-    sp = sub.add_parser("pair-check", help="isotropy report for a vector pair")
+def _pair_check_options(sp) -> None:
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.set_defaults(func=_cmd_pair_check)
 
-    sp = sub.add_parser("search", help="seeded search for an LCD code")
+
+def _search_options(sp) -> None:
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--k", type=_positive_int, required=True, help="at most --n")
     sp.add_argument("--target-d", type=_positive_int, required=True)
@@ -358,20 +342,76 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted and ignored: search is serial, and its result depends "
         "only on the seed and the candidate index",
     )
-    add_output(sp)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_search)
 
-    sp = sub.add_parser("verify-table", help="check result codes against the bounds table")
+
+def _verify_table_options(sp) -> None:
     sp.add_argument("--results", required=True, help="directory of code files")
     sp.add_argument("--bounds", help="bounds CSV (packaged table by default)")
-    add_budget(sp)
+    _add_budget(sp)
     sp.set_defaults(func=_cmd_verify_table)
 
+
+def _derive_row(name: str) -> tuple:
+    help_text, options, _ = _DERIVE[name]
+
+    def add_options(sp) -> None:
+        sp.add_argument("file")
+        for flags, option_help in options:
+            sp.add_argument(*flags, required=True, help=option_help)
+        _add_output(sp)
+        sp.set_defaults(func=_cmd_derive)
+
+    return help_text, add_options
+
+
+# The subcommands in listing order: name -> (help, a function that adds the
+# subcommand's options and its ``func`` default to its subparser).
+_COMMANDS = {
+    "info": ("summarize a code file", _info_options),
+    "dual": _derive_row("dual"),
+    "puncture": _derive_row("puncture"),
+    "shorten": _derive_row("shorten"),
+    "orthonormalize": _derive_row("orthonormalize"),
+    # parity stays between orthonormalize and axy in the subcommand listing.
+    "parity": ("column-parity LCD report per coordinate", _parity_options),
+    "axy": _derive_row("axy"),
+    "pair-check": ("isotropy report for a vector pair", _pair_check_options),
+    "search": ("seeded search for an LCD code", _search_options),
+    "verify-table": ("check result codes against the bounds table", _verify_table_options),
+}
+
+
+# Every subcommand is registered with its help, so the top-level help, the
+# choices and the usage errors are the full parser's; only the invoked one
+# gets its options, which are most of the cost of building the parser.  It
+# is not cached yet: faster calls fit more passes into a perfbench run, whose
+# harness keeps every pass's outputs, and peak_rss_mib would pass its bound
+# (ROADMAP item 1).
+def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="hlcd4",
+        description="Hermitian LCD codes over the four-element field.",
+    )
+    p.add_argument("--version", action="version", version=f"hlcd4 {__version__}")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_options(sp)
     return p
 
 
+def _parser_for(argv: list) -> argparse.ArgumentParser:
+    # The top-level options (-h, --version) take no value, so the first
+    # token that is not an option is the one argparse dispatches on.
+    return _build_parser(next((a for a in argv if not a.startswith("-")), None))
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser_for(argv)
     args = parser.parse_args(argv)
     if args.command == "search" and args.k > args.n:
         parser.error(f"--k ({args.k}) must not exceed --n ({args.n})")

@@ -1,15 +1,22 @@
 """Command-line interface: file format, subcommands, exit codes."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlcd4 import cli, linalg
+from hlcd4 import __version__, cli, linalg
 from hlcd4.code import LinearCode
 from hlcd4.errors import CodeFileError, RankDeficientError
 from hlcd4.gf4 import from_symbols
@@ -486,10 +493,9 @@ def test_domain_error_carries_location(tmp_path, capsys):
     assert err["line"] == 2 and "column" not in err
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
-    path = write_code(tmp_path / "c.code", LinearCode.from_symbols(LCD_42))
+def usage_error_argvs(path, results):
     search = ["search", "--seed", "1"]
-    for argv in (
+    return [
         ["no-such-command"],
         ["search", "--n", "10", "--k", "4"],  # missing required args
         [*search, "--n", "10", "--k", "4", "--target-d", "2", "--strategy", "bogus"],
@@ -501,8 +507,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         [*search, "--n", "10", "--k", "4", "--target-d", "2", "--threads", "0"],
         ["search", "--seed", "-1", "--n", "10", "--k", "4", "--target-d", "2"],
         ["info", path, "--budget", "0"],
-        ["verify-table", "--results", str(tmp_path), "--budget", "0"],
-    ):
+        ["verify-table", "--results", results, "--budget", "0"],
+    ]
+
+
+def test_usage_errors_exit_2(tmp_path, capsys):
+    path = write_code(tmp_path / "c.code", LinearCode.from_symbols(LCD_42))
+    for argv in usage_error_argvs(path, str(tmp_path)):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
@@ -520,3 +531,122 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("hlcd4 ")
+
+
+def test_console_entry_point_reads_sys_argv(monkeypatch, capsys):
+    # The console script calls main() with no argument.
+    monkeypatch.setattr(sys, "argv", ["hlcd4", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"hlcd4 {__version__}\n"
+    monkeypatch.setattr(sys, "argv", ["hlcd4", "pair-check", "--x", "11", "--y", "11"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["valid"]
+
+
+# --- the per-call parser ------------------------------------------------------
+
+
+def full_parser():
+    """Every subcommand with all of its options, as one parser."""
+    p = argparse.ArgumentParser(
+        prog="hlcd4",
+        description="Hermitian LCD codes over the four-element field.",
+    )
+    p.add_argument("--version", action="version", version=f"hlcd4 {__version__}")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options) in cli._COMMANDS.items():
+        add_options(sub.add_parser(name, help=help_text))
+    return p
+
+
+def parse_outcome(parser, argv):
+    """The Namespace, or the exit code; then the text on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = parser.parse_args(argv)
+        except SystemExit as e:
+            outcome = e.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+VALID_ARGVS = [
+    ["info", "c.code", "--json", "--budget", "10"],
+    ["dual", "c.code", "-o", "d.code"],
+    ["puncture", "c.code", "-t", "1,3"],
+    ["shorten", "c.code", "--coords", "2"],
+    ["orthonormalize", "c.code"],
+    ["parity", "c.code", "--json"],
+    ["axy", "c.code", "--y", "0011", "--x", "1100"],
+    ["pair-check", "--x", "11", "--y", "11"],
+    ["search", "--n", "13", "--k", "9", "--target-d", "4", "--seed", "1",
+     "--strategy", "puncture-shorten", "--base", "b.code", "--threads", "2"],
+    ["verify-table", "--results", "results", "--exact-d", "--bounds", "b.csv"],
+]
+
+
+def test_valid_argvs_cover_every_subcommand():
+    assert [argv[0] for argv in VALID_ARGVS] == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["--version"],
+        [],
+        *([name, "-h"] for name in cli._COMMANDS),
+        *VALID_ARGVS,
+        *usage_error_argvs("c.code", "results"),
+    ],
+    ids=" ".join,
+)
+def test_parser_matches_the_full_parser(argv):
+    # The parser main builds for argv holds one subcommand's options; it
+    # parses argv to the same Namespace as the full parser, or exits with
+    # the same code and the same text.
+    assert parse_outcome(cli._parser_for(argv), argv) == parse_outcome(full_parser(), argv)
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+INTERLEAVED = [
+    ["search", "--n", "14", "--k", "10", "--target-d", "3", "--seed", "1",
+     "--budget", "1000", "-o", "results/c14.code"],
+    ["info", "results/c14.code", "--json"],
+    ["verify-table", "--results", "results"],
+    ["search", "--n", "12", "--k", "6", "--target-d", "4", "--seed", "3",
+     "--budget", "2000", "-o", "c12.code"],
+]
+
+
+def run_alone(argv, cwd):
+    """One call in a fresh interpreter: (exit code, stdout, stderr)."""
+    out = subprocess.run(
+        [sys.executable, "-m", "hlcd4.cli", *argv],
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+        check=False,
+    )
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_interleaved_calls_match_calls_run_alone(tmp_path, monkeypatch, capsys):
+    # Calls in one process behave as fresh processes: nothing kept between
+    # main calls carries one call's state into the next.
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    for root in (together, alone):
+        (root / "results").mkdir(parents=True)
+    monkeypatch.chdir(together)
+    for argv in INTERLEAVED:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == run_alone(argv, alone), argv
+        assert code == 0 and captured.out, argv
+    for name in ("results/c14.code", "c12.code"):
+        assert (together / name).read_bytes() == (alone / name).read_bytes()
