@@ -14,7 +14,7 @@ matrices:
   [15,11,3] random draws, seed 1
 
 The [12,8,4] search scans ~59k candidates in well under a second (about
-0.02 s of CPU time on a shared 2-vCPU host, median of 25 runs); the
+0.019 s of CPU time on a shared 2-vCPU host, median of 25 runs); the
 others are near-instant.  Every hit is re-verified with an exact minimum
 weight computation and checked against the shipped bounds table.
 """

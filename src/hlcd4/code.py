@@ -345,9 +345,11 @@ def _macwilliams(dual_counts: list[int], n: int) -> list[int]:
 # A codeword is its two packed bit planes (:mod:`hlcd4.gf4`), each W words
 # long, held on the first axis of one array.  The enumerator reads a table
 # of the packed rows' 1, w and w^2 multiples, (2, W, k, 3, *batch), with the
-# batch axis of many codes last: ``_row_multiples`` packs the light test's
-# batch of A blocks into it, and each information set of the engine writes
-# its reduced planes into it with no batch axis (see ``_information_sets``).
+# batch axis of many codes last: the light test packs its batch of A blocks
+# (``_packed_rows``) and builds the table of their ``_multiples`` for the
+# codes that pass its first step, and each information set of the engine
+# writes its reduced planes into it with no batch axis (see
+# ``_information_sets``).
 
 
 # Codewords per enumerated chunk of one code, and the largest layer an
@@ -375,26 +377,29 @@ _BATCH_WORDS = 1 << 20
 _CALL_BYTES = 16 << 10
 
 
-def _row_multiples(a: np.ndarray) -> np.ndarray:
-    """The contiguous (2, W, k, 3, ...) planes of 1, w and w^2 times each row.
+def _packed_rows(a: np.ndarray) -> np.ndarray:
+    """The contiguous (2, W, k, ...) packed planes of the rows of ``a``.
 
-    ``a`` is (..., k, m), with any leading batch axes, which the table
-    carries last, so a copy runs over contiguous lanes; W = ceil(m / 64)
-    and column j is bit j % 64 of word j // 64, a word of
+    ``a`` is (..., k, m), with any leading batch axes, which the planes
+    carry last, so a step runs over contiguous lanes; W = ceil(m / 64) and
+    column j is bit j % 64 of word j // 64, a word of
     ``gf4._word_type(m)``.  A zero column stands in when there are none
     (k = n).
     """
     *batch, k, m = a.shape
-    lanes = prod(batch)
     word = _word_type(m)
     words = -(-m // 64) or 1
-    p = _pack_planes(a.reshape(lanes, k, m), word.itemsize * words).view(word)
-    # Batch last, then each plane of the three multiples written in place.
-    p = np.ascontiguousarray(p.transpose(0, 3, 2, 1))
-    out = np.empty((2, words, k, 3, lanes), dtype=word)
+    p = _pack_planes(a.reshape(prod(batch), k, m), word.itemsize * words).view(word)
+    return np.ascontiguousarray(p.transpose(0, 3, 2, 1)).reshape(2, words, k, *batch)
+
+
+def _multiples(p: np.ndarray) -> np.ndarray:
+    """The contiguous (2, W, k, 3, ...) table of 1, w and w^2 times the
+    packed rows ``p``, (2, W, k, ...), each plane written in place."""
+    out = np.empty((*p.shape[:3], 3, *p.shape[3:]), dtype=p.dtype)
     for f, planes in enumerate(_plane_multiples(p[0], p[1])):
         out[0, :, :, f], out[1, :, :, f] = planes
-    return out.reshape(2, words, k, 3, *batch)
+    return out
 
 
 def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
@@ -409,10 +414,12 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
     0 of every code, and ``_layer_weights`` runs its steps v = 1, 2, 3 on
     the whole batch, only while v < target and v <= k.  The codes a step
     rejects leave the batch before the next, so most codes see only the
-    first steps; the test ends once none is left.
+    first steps; the test ends once none is left.  Step v = 1 reads only
+    the packed rows (f = 1), so the w and w^2 multiples are built after it,
+    for its survivors alone.
     """
-    rows = _row_multiples(a)
-    s = _InfoSet(0, rows, rows[:, :, :, 0])
+    p = _packed_rows(a)
+    s = _InfoSet(0, p[:, :, :, None], p)
     alive = np.arange(len(a))
     last = min(3, target - 1, a.shape[1])
     for v in range(1, last + 1):
@@ -427,6 +434,9 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
             # index would put it first and slow every later step.
             s.rows = s.rows.compress(ok, axis=-1)
             s.layer = s.rows[:, :, :, 0] if s.kept == 1 else s.layer.compress(ok, axis=-1)
+        if v == 1 and last > 1:
+            s.rows = _multiples(s.layer)
+            s.layer = s.rows[:, :, :, 0]
     return alive
 
 
@@ -503,7 +513,8 @@ class _InfoSet:
 
     deficit: int
     # (2, W, k, 3, *batch) planes of f times row i of A_j, f = 1, w, w^2;
-    # a batch of codes (the light test's) on a last axis.
+    # a batch of codes (the light test's) on a last axis.  The light test's
+    # step v = 1 reads f = 1 alone and holds only that, (2, W, k, 1, B).
     rows: np.ndarray
     # The kept layer: codewords of every message of weight ``kept``, grouped
     # by the message's last row, as (2, W, N, *batch) planes; at first the

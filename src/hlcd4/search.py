@@ -15,8 +15,8 @@ eight hashed words pair into PCG64's four 64-bit seeding words through a
 uint64 view, the LCG steps in place and the symbols are shifted straight
 into the block.  All of it is integer arithmetic that wraps exactly as
 numpy's does, so the symbols are bit-identical to numpy's.  The first
-block holds 1024 indices and each later one twice as many, up to about
-2^17 drawn symbols (never fewer than 1024 indices): 4096 at [12, 8].  One
+block holds 64 indices and each later one four times as many, up to about
+2^18 drawn symbols (never fewer than 1024 indices): 8192 at [12, 8].  One
 vectorised light weight test, over messages of weight at most 3, covers
 the whole block of drawn candidates at any length; it tests one message
 weight at a time and drops the candidates each part rejects.
@@ -131,24 +131,28 @@ def _candidate_rng(seed: int, index: int) -> np.random.Generator:
 
 
 # Random search draws and light-tests consecutive candidate indices in
-# blocks: _LANES at first, twice as many after each block, up to the larger
-# of _LANES and about _BLOCK_SYMBOLS drawn symbols.  Larger blocks spread
-# each numpy call over more candidates; the block size never changes which
-# candidate is found.
+# blocks: _FIRST_LANES at first, _GROWTH times as many after each block, up
+# to the larger of _LANES and about _BLOCK_SYMBOLS drawn symbols.  Every
+# block pays a fixed cost of numpy calls (the seed stage, the PCG steps,
+# the light test's table) before any per-lane work: a small first block
+# keeps an early hit cheap, and large blocks spread that cost over more
+# candidates.  The block size never changes which candidate is found.
+_FIRST_LANES = 64
+_GROWTH = 4
 _LANES = 1024
-_BLOCK_SYMBOLS = 1 << 17
+_BLOCK_SYMBOLS = 1 << 18
 
 
 def _blocks(budget: int, k: int, m: int):
     """The (first index, count) blocks of a random search, up to ``budget``."""
     # Every candidate draws whole 64-bit outputs of eight symbols.
     cap = max(_LANES, _BLOCK_SYMBOLS // (8 * max(1, -(-k * m // 8))))
-    first, lanes = 0, _LANES
+    first, lanes = 0, _FIRST_LANES
     while first < budget:
         count = min(lanes, budget - first)
         yield first, count
         first += count
-        lanes = min(2 * lanes, cap)
+        lanes = min(_GROWTH * lanes, cap)
 
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq mixing).

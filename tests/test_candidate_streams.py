@@ -38,7 +38,9 @@ def assert_matches_numpy(seed, start, count, k, m):
     m=st.integers(0, 24),
 )
 @example(seed=15, start=59000, count=8, k=8, m=4)  # the [12,8,4] record's hit
-@example(seed=15, start=3072, count=4096, k=8, m=4)  # a block grown to its cap at k·m = 32
+@example(seed=15, start=0, count=64, k=8, m=4)  # the small first block
+@example(seed=15, start=1344, count=4096, k=8, m=4)  # the fourth block at k·m = 32
+@example(seed=15, start=5440, count=8192, k=8, m=4)  # a full block at the cap at k·m = 32
 @example(seed=2**31, start=40960, count=4096, k=8, m=4)  # a full block at a later index
 @example(seed=1, start=1024, count=_LANES, k=15, m=15)  # [30,15]: k·m = 225, a partial last word
 @example(seed=0, start=0, count=1, k=1, m=1)

@@ -14,7 +14,8 @@ from hlcd4.code import (
     _light_survivors,
     _macwilliams,
     _min_weight,
-    _row_multiples,
+    _multiples,
+    _packed_rows,
     _weight_distribution,
     hull_dim_oracle,
     min_weight_oracle,
@@ -268,7 +269,7 @@ def test_row_multiples_match_matmul_packing(rng, m):
         # some rows all 0 or all 3, so the top columns are clear or set
         a[..., 0, :] = 0
         a[..., -1, :] = 3
-        got = _row_multiples(a)
+        got = _multiples(_packed_rows(a))
         want = _row_multiples_reference(a)
         assert got.shape == want.shape == (2, max(1, -(-m // 64)), shape[-2], 3) + shape[:-2]
         assert got.dtype == word
@@ -276,7 +277,7 @@ def test_row_multiples_match_matmul_packing(rng, m):
         # a strided input packs the same
         if m > 1:
             wide = np.repeat(a, 2, axis=-1)[..., ::2]
-            assert np.array_equal(_row_multiples(wide), got)
+            assert np.array_equal(_multiples(_packed_rows(wide)), got)
 
 
 def test_light_survivors_match_reference(rng, monkeypatch):
@@ -307,6 +308,33 @@ def test_light_survivors_match_reference(rng, monkeypatch):
                 assert (np.diff(survivors) > 0).all()
                 if target <= 4:
                     assert survivors.tolist() == [i for i, w in enumerate(d) if w >= target]
+
+
+def test_light_survivors_at_the_first_step_edges(rng, monkeypatch):
+    # Step v = 1 reads only the packed rows.  A batch whose every code dies
+    # there (a zero row of A gives a codeword of weight 1) returns before
+    # the w and w^2 multiples exist; a batch whose every code survives it
+    # (no zero symbol in A) builds them once, for the whole batch, when a
+    # step v = 2 follows.  Both against the reference.
+    built = []
+
+    def multiples(p):
+        built.append(p.shape[-1])
+        return build(p)
+
+    build = code_mod._multiples
+    monkeypatch.setattr(code_mod, "_multiples", multiples)
+    batch, k, m = 40, 5, 7
+    dead = rng.integers(0, 4, size=(batch, k, m), dtype=np.uint8)
+    dead[:, 2] = 0
+    live = rng.integers(1, 4, size=(batch, k, m), dtype=np.uint8)
+    for target in range(2, 8):
+        built.clear()
+        assert _light_survivors(dead, target).tolist() == []
+        assert (_light_reference(dead) < target).all() and built == []
+        survivors = _light_survivors(live, target)
+        assert survivors.tolist() == np.flatnonzero(_light_reference(live) >= target).tolist()
+        assert built == ([batch] if target > 2 else [])
 
 
 def test_one_message_enumerator():

@@ -25,7 +25,8 @@ from hlcd4.code import (
     _layer_size,
     _layer_weights,
     _min_weight,
-    _row_multiples,
+    _multiples,
+    _packed_rows,
     min_weight_oracle,
 )
 from hlcd4.gf4 import MUL
@@ -120,7 +121,7 @@ def information_sets_reference(gen):
         fresh = [order[p] for p in pivots if p < len(unused)]
         if not fresh:
             break
-        rows = _row_multiples(np.delete(reduced, pivots, axis=1))
+        rows = _multiples(_packed_rows(np.delete(reduced, pivots, axis=1)))
         sets.append(_InfoSet(k - len(fresh), rows, rows[..., 0]))
         used += fresh
         unused = [c for c in unused if c not in fresh]
@@ -428,7 +429,7 @@ def test_batched_steps_match_one_code_each(bounds, monkeypatch):
         for k in range(1, 10):
             for n in (int(rng.integers(k + 1, 65)), 70):
                 a = rng.integers(0, 4, size=(batch, k, n - k), dtype=np.uint8)
-                rows = _row_multiples(a)
+                rows = _multiples(_packed_rows(a))
                 together = _InfoSet(0, rows, rows[:, :, :, 0])
                 # Every seventh code of the batch and the last, one at a time.
                 eye = np.eye(k, dtype=np.uint8)

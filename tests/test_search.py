@@ -2,8 +2,9 @@
 
 import hashlib
 import importlib
+import tracemalloc
 from dataclasses import replace
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hlcd4.search import (
     Strategy,
     VerifyStatus,
     _blocks,
+    _candidate_block,
     elliptic_quadric_code,
     random_lcd,
     sample_isotropic_pair,
@@ -128,15 +130,20 @@ def _first_hit(config):
         (65, 3, 46, 1),  # two words: light test, then cutoff scan; hit at 74
         (70, 5, 4, 2),  # two words, target <= 4: the light test decides; hit at 2
         (8, 4, 6, 1),  # above the Singleton bound: every budget runs out
-        (13, 7, 5, 1),  # hit at 1220, past the first block of streams
-        (27, 17, 6, 5),  # k >= 17, target above 4; hit at 1615, second block
+        (13, 7, 5, 1),  # hit at 1220, in the third block of streams
+        (27, 17, 6, 5),  # k >= 17, target above 4; hit at 1615, in the first capped block
     ],
 )
 def test_random_search_matches_candidate_loop(n, k, target, seed):
-    # budgets 1 and 2, and one below, at and one above the end of each of
-    # the first three blocks of drawn and light-tested streams; the third
-    # block has grown to its cap at every shape here
-    ends = islice(accumulate(count for _, count in _blocks(10**9, k, n - k)), 3)
+    # budgets 1 and 2, and one below, at and one above the end of each
+    # block of drawn and light-tested streams up to the first that has
+    # grown to its cap
+    sizes = []
+    for _, count in _blocks(10**9, k, n - k):
+        if sizes and count == sizes[-1]:
+            break
+        sizes.append(count)
+    ends = accumulate(sizes)
     budgets = sorted({1, 2} | {end + step for end in ends for step in (-1, 0, 1)})
     hit, gen = _first_hit(SearchConfig(n=n, k=k, target_d=target, seed=seed, budget=budgets[-1]))
     for budget in budgets:
@@ -150,12 +157,13 @@ def test_random_search_matches_candidate_loop(n, k, target, seed):
 
 
 def test_block_schedule_grows_to_its_cap():
-    # blocks double from 1024 up to about 2^17 drawn symbols, never below
-    # 1024 lanes, and stop at the budget
-    assert [c for _, c in _blocks(20000, 8, 4)] == [1024, 2048, 4096, 4096, 4096, 4096, 544]
-    assert [c for _, c in _blocks(5000, 10, 13)] == [1024] * 4 + [904]
+    # blocks grow fourfold from 64 up to about 2^18 drawn symbols, never
+    # below 1024 lanes, and stop at the budget
+    assert [c for _, c in _blocks(20000, 8, 4)] == [64, 256, 1024, 4096, 8192, 6368]
+    assert [c for _, c in _blocks(3000, 15, 15)] == [64, 256, 1024, 1129, 527]
+    assert [c for _, c in _blocks(5000, 16, 17)] == [64, 256] + [1024] * 4 + [584]
     assert [c for _, c in _blocks(3, 2, 2)] == [3]
-    assert [c for _, c in _blocks(10**6, 4, 0)][:6] == [1024, 2048, 4096, 8192, 16384, 16384]
+    assert [c for _, c in _blocks(10**6, 4, 0)][:7] == [64, 256, 1024, 4096, 16384, 32768, 32768]
     blocks = list(_blocks(10**5, 9, 4))
     assert [first for first, _ in blocks] == list(accumulate([0] + [c for _, c in blocks[:-1]]))
 
@@ -163,7 +171,7 @@ def test_block_schedule_grows_to_its_cap():
 @pytest.mark.parametrize(
     "n, k, target, seed, hit",
     [
-        (12, 8, 4, 535, 4036),  # the record's shape: hit in the third block, grown to 4096
+        (12, 8, 4, 535, 4036),  # the record's shape: hit in the fourth block, of 4096
         (13, 7, 5, 1, 1220),  # target above 4: survivors take the engine
     ],
 )
@@ -175,12 +183,39 @@ def test_random_search_does_not_depend_on_block_schedule(monkeypatch, n, k, targ
     for lanes in (1024, 7):
         with monkeypatch.context() as m:
             # no growth: every block has the starting size
-            m.setattr(search_module, "_LANES", lanes)
+            m.setattr(search_module, "_FIRST_LANES", lanes)
+            m.setattr(search_module, "_GROWTH", 1)
             m.setattr(search_module, "_BLOCK_SYMBOLS", 0)
             assert [c for _, c in _blocks(4 * lanes, k, n - k)] == [lanes] * 4
             r = search(config)
         assert r.candidates_tried == default.candidates_tried
         assert np.array_equal(r.found.gen, default.found.gen)
+
+
+@pytest.mark.parametrize(
+    "n, k, target, per_symbol",
+    [
+        (12, 8, 4, 7),  # about 5.5 bytes: the packing's padded byte a symbol, twice
+        (30, 15, 9, 24),  # about 18 bytes: mostly the weight-3 step's chunk
+    ],
+)
+def test_capped_block_memory(n, k, target, per_symbol):
+    # The tracemalloc peak of drawing and light-testing the first block at
+    # the cap, per drawn symbol (whole 64-bit outputs of eight): a larger
+    # cap or a costlier step shows here, not only as the process's peak
+    # resident memory.
+    m = n - k
+    first, count = max(_blocks(10**7, k, m), key=lambda block: block[1])
+    symbols = count * 8 * -(-k * m // 8)
+    assert symbols <= 1 << 18
+    _light_survivors(_candidate_block(1, first, count, k, m), target)  # fill the caches
+    tracemalloc.start()
+    try:
+        _light_survivors(_candidate_block(1, first, count, k, m), target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_symbol * symbols
 
 
 def test_random_strategy_target_one():
