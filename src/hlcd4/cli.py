@@ -98,8 +98,14 @@ def emit_summary(summary: CodeSummary, fmt: str = "text") -> str:
 
 
 def _read_code(path: str) -> tuple[LinearCode, str]:
+    """The code in a file, and the file's text for a provenance digest."""
     text = Path(path).read_text(encoding="utf-8")
-    return parse_code_file(text), hashlib.sha256(text.encode()).hexdigest()
+    return parse_code_file(text), text
+
+
+def _digest(text: str) -> str:
+    """The SHA-256 a provenance header records for a parent file's text."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -152,13 +158,13 @@ _DERIVE = {
 
 
 def _cmd_derive(args) -> int:
-    code, digest = _read_code(args.file)
+    code, text = _read_code(args.file)
     _, options, derive = _DERIVE[args.command]
     # argparse stores each option under its long flag's name.
     values = [getattr(args, flags[-1].lstrip("-")) for flags, _ in options]
     gen = derive(code, *values)
     command = [args.command] + [f"{f[0]} {v}" for (f, _), v in zip(options, values)]
-    header = [f"command: {' '.join(command)}", f"parent: sha256 {digest}"]
+    header = [f"command: {' '.join(command)}", f"parent: sha256 {_digest(text)}"]
     _write_output(emit_code_file(gen, header), args.output)
     return 0
 
@@ -195,7 +201,7 @@ def _cmd_pair_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    base, digest = _read_code(args.base) if args.base else (None, None)
+    base, text = _read_code(args.base) if args.base else (None, None)
     config = SearchConfig(
         n=args.n,
         k=args.k,
@@ -221,8 +227,8 @@ def _cmd_search(args) -> int:
         f"--seed {args.seed} --budget {args.budget} --strategy {args.strategy}",
         f"candidates tried: {result.candidates_tried}",
     ]
-    if digest is not None:
-        header.append(f"parent: sha256 {digest}")
+    if text is not None:
+        header.append(f"parent: sha256 {_digest(text)}")
     _write_output(emit_code_file(result.found.gen, header), args.output)
     if args.output is not None:
         print(

@@ -46,7 +46,7 @@ from .gf4 import (
     _pack_planes,
     _plane_multiples,
     _stride,
-    _to_ints,
+    _unpack_planes,
     _word_type,
     elements,
     from_symbols,
@@ -97,12 +97,13 @@ class LinearCode:
             raise ValueError("generator matrix must be 2-d")
         if gen.shape[1] < 1:
             raise ValueError("code length must be at least 1")
-        k = gen.shape[0]
-        R, pivots = linalg.rref(gen)
+        k, n = gen.shape
+        # The packed planes and pivots of the reduced form: the engine starts
+        # from them.
+        lo, hi, pivots = self._reduced = linalg._reduce(gen)
         if len(pivots) != k:
             raise RankDeficientError(f"generator matrix has rank {len(pivots)}, expected {k}")
-        self._canonical = R
-        self._pivots = pivots
+        self._canonical = _unpack_planes(_from_ints((lo, hi), k, n), n)
         self._gen = gen.copy()
         self._gen.setflags(write=False)
         self._canonical.setflags(write=False)
@@ -122,27 +123,28 @@ class LinearCode:
                 column), unequal row lengths (with line), or no rows.
             RankDeficientError: when the rows are dependent and not all zero.
         """
-        rows = []
-        row_lines = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                rows.append(from_symbols(line))
-            except ValueError:
-                # Locate the first bad symbol for the report.
-                bad = next(ch for ch in line if not ch.isspace() and ch not in SYMBOLS)
-                col = line.index(bad) + 1
-                raise CodeFileError(f"invalid symbol {bad!r}", line=lineno, column=col) from None
-            row_lines.append(lineno)
+        lines = text.splitlines()
+        # The row lines, by line number, each with its whitespace dropped.
+        rows = {
+            lineno: "".join(line.split())
+            for lineno, line in enumerate(lines, start=1)
+            if line.strip() and not line.lstrip().startswith("#")
+        }
         if not rows:
             raise CodeFileError("no matrix rows in input")
-        n = len(rows[0])
-        for r, lineno in zip(rows, row_lines):
-            if len(r) != n:
-                raise CodeFileError(f"row has {len(r)} symbols, expected {n}", line=lineno)
-        gen = np.vstack(rows)
+        # The whole body is translated at once; only a failure goes back to
+        # the rows, to locate the first bad symbol for the report.
+        try:
+            symbols = from_symbols("".join(rows.values()))
+        except ValueError:
+            lineno, bad = next((i, ch) for i, row in rows.items() for ch in row if ch not in SYMBOLS)
+            col = lines[lineno - 1].index(bad) + 1
+            raise CodeFileError(f"invalid symbol {bad!r}", line=lineno, column=col) from None
+        n = len(next(iter(rows.values())))
+        for lineno, row in rows.items():
+            if len(row) != n:
+                raise CodeFileError(f"row has {len(row)} symbols, expected {n}", line=lineno)
+        gen = symbols.reshape(len(rows), n)
         return cls(gen if gen.any() else gen[:0])
 
     @property
@@ -188,13 +190,22 @@ class LinearCode:
     def hermitian_dual(self) -> "LinearCode":
         """The [n, n-k] code of vectors Hermitian-orthogonal to every codeword.
 
+        Its generator is the basis that ``_dual_basis`` reads off the
+        canonical form, with no second reduction.  ``summarize`` hands that
+        basis to the engine and does not build this code.
+        """
+        return LinearCode(self._dual_basis())
+
+    def _dual_basis(self) -> np.ndarray:
+        """A basis of the Hermitian dual, as the rows of a full-rank matrix.
+
         A vector x satisfies (x, y)_h = 0 for all rows y of G exactly when
         conj(G) x^T = 0, so the dual is the kernel of the conjugated
         generator matrix.  Conjugation is a field automorphism, so the
         reduced form of conj(G) is the conjugated canonical form, with the
         same pivots: the basis needs no second reduction.
         """
-        return LinearCode(linalg._null_basis(CONJ[self._canonical], self._pivots))
+        return linalg._null_basis(CONJ[self._canonical], self._reduced[2])
 
     def hull_dim(self) -> int:
         """Dimension of the intersection with the Hermitian dual.
@@ -229,7 +240,7 @@ class LinearCode:
         """
         if self.k < 1:
             raise ValueError("minimum weight requires k >= 1")
-        r = _min_weight(self._canonical, budget=budget)
+        r = _min_weight(self._canonical, budget=budget, reduced=self._reduced)
         if not r.exact:
             raise BudgetExceededError(
                 f"enumerated {r.tried} codewords without completing; best weight seen {r.best}",
@@ -242,17 +253,20 @@ class LinearCode:
 
         A zero code (the code itself with k = 0, or the dual of a full code)
         has no nonzero codewords; its weight is reported as 0.  The engine
-        gets the canonical form, whose pivot columns are unit columns: its
-        first elimination then has no rows to clear.
+        starts d from the code's own packed reduced planes, and d_dual from
+        the dual's basis (``_dual_basis``), which it packs and reduces
+        itself: the dual is never built as a second code.  Its reduced form
+        is unique, so the engine enumerates what it would for the dual's
+        canonical form.
         """
-        def weight(code):
-            if code.k == 0:
+        def weight(gen, reduced=None):
+            if not len(gen):
                 return 0, True
-            r = _min_weight(code.canonical, budget=budget)
+            r = _min_weight(gen, budget=budget, reduced=reduced)
             return r.best, r.exact
 
-        d, d_exact = weight(self)
-        d_dual, d_dual_exact = weight(self.hermitian_dual())
+        d, d_exact = weight(self._canonical, self._reduced)
+        d_dual, d_dual_exact = weight(self._dual_basis())
         hull_dim = self.hull_dim()
         return CodeSummary(
             n=self.n,
@@ -469,9 +483,12 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
 # then they move down into ceil((n - k) / 64) words.  The sets' planes stay
 # Python ints until the last set is found; one conversion and one transpose
 # then make one array of every set's table, and each set's ``rows`` is a
-# view of it.  ``LinearCode`` hands the engine its canonical form, whose
-# pivot columns are unit columns, so set 0 takes about one test per row
-# (see ``linalg``).
+# view of it.  Set 0 is the reduced form in column order, which a
+# ``LinearCode`` keeps from its own reduction: its weights start from those
+# planes, with no packing and no elimination.  Other callers hand the engine
+# a raw generator (search's survivors, the axy climb, puncture-shorten, a
+# code's dual basis), which it packs and reduces for set 0
+# (``linalg._reduce``).
 #
 # A step of the enumeration (one set, one message weight) writes its
 # codewords tail by tail into one chunk of up to ``_CHUNK`` codewords and
@@ -523,23 +540,25 @@ class _InfoSet:
     kept: int = 1
 
 
-def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
+def _information_sets(gen: np.ndarray, reduced=None) -> list[_InfoSet]:
     """Greedy information sets of a full-rank generator, in order of use.
 
-    Every set's planes stay Python ints until the last set is found; one
-    conversion and one transpose then make the (S, 2, W, k, 3) table of all
-    S sets, and each set's ``rows`` is a view of it.
+    Set 0 is the reduced form in column order: ``reduced``, its packed
+    planes and pivots as ``linalg._reduce(gen)`` returns them, when the
+    caller holds them, else reduced here.  Every set's planes stay Python
+    ints until the last set is found; one conversion and one transpose then
+    make the (S, 2, W, k, 3) table of all S sets, and each set's ``rows``
+    is a view of it.
     """
     k, n = gen.shape
     stride = _stride(n)
-    lo, hi = _to_ints(_pack_planes(gen, stride // 8))
+    lo, hi, pivots = linalg._reduce(gen) if reduced is None else reduced
     # A 1 at bit 0 of every row.
     ones = ((1 << stride * k) - 1) // ((1 << stride) - 1)
     words = -(-(n - k) // 64) or 1
     unused = (1 << n) - 1
     deficits, multiples = [], []
-    while unused:
-        lo, hi, pivots = linalg._eliminate(lo, hi, k, stride, unused)
+    while True:
         taken = sum(1 << c for c in pivots)
         fresh = taken & unused
         if not fresh:
@@ -553,6 +572,9 @@ def _information_sets(gen: np.ndarray) -> list[_InfoSet]:
         multiples += [x for plane in zip(*_plane_multiples(*a)) for x in plane]
         deficits.append(k - fresh.bit_count())
         unused ^= fresh
+        if not unused:
+            break
+        lo, hi, pivots = linalg._eliminate(lo, hi, k, stride, unused)
     # Every set at once, as (S, 2, 3, k, W) words laid out as (S, 2, W, k, 3).
     rows = _from_ints(multiples, k, n)[..., :words].reshape(-1, 2, 3, k, words)
     rows = np.ascontiguousarray(rows.transpose(0, 1, 4, 3, 2))
@@ -700,8 +722,13 @@ def _min_weight(
     gen: np.ndarray,
     cutoff: Optional[int] = None,
     budget: Optional[int] = None,
+    reduced=None,
 ) -> _Weight:
     """Minimum weight of the code spanned by a full-rank generator.
+
+    ``reduced`` is the generator's packed reduced form, as
+    ``linalg._reduce(gen)`` returns it, when the caller holds it (a
+    ``LinearCode`` does); the result is the same without it.
 
     Information-set codewords are enumerated by message weight, one
     ``_schedule`` step at a time.  The enumeration stops, exact, once the
@@ -716,7 +743,7 @@ def _min_weight(
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    sets = _information_sets(gen)
+    sets = _information_sets(gen, reduced)
     k, n = gen.shape
     best, tried, bound = n + 1, 0, 0
 

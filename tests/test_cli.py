@@ -106,6 +106,59 @@ def test_one_reader(text):
     assert read(LinearCode.from_symbols) == read(cli.parse_code_file)
 
 
+def read_rows_reference(text: str) -> LinearCode:
+    """The code-file reader as a loop over the lines, each row parsed on its
+    own by ``gf4.from_symbols``: the reference for the one-pass reader."""
+    rows = []
+    row_lines = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            rows.append(from_symbols(line))
+        except ValueError:
+            bad = next(ch for ch in line if not ch.isspace() and ch not in "01wW")
+            col = line.index(bad) + 1
+            raise CodeFileError(f"invalid symbol {bad!r}", line=lineno, column=col) from None
+        row_lines.append(lineno)
+    if not rows:
+        raise CodeFileError("no matrix rows in input")
+    n = len(rows[0])
+    for r, lineno in zip(rows, row_lines):
+        if len(r) != n:
+            raise CodeFileError(f"row has {len(r)} symbols, expected {n}", line=lineno)
+    gen = np.vstack(rows)
+    return LinearCode(gen if gen.any() else gen[:0])
+
+
+# Bodies of many row lines, each padded with whitespace and line separators,
+# some with a bad symbol or a row of another length: the one-pass reader's
+# failure paths, which arbitrary text seldom reaches past the first line.
+_ROWS_TEXT = st.lists(
+    st.tuples(
+        st.text(alphabet=st.sampled_from(list(" \t\xa0\x1f#\n\v\x85 ")), max_size=3),
+        st.text(alphabet=st.sampled_from(list("01wW \t")), min_size=1, max_size=8),
+        st.sampled_from(["", "x", "é", "2"]),
+    ),
+    max_size=6,
+).map(lambda rows: "\n".join(pad + row + bad for pad, row, bad in rows))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(_CODE_TEXT, _ROWS_TEXT))
+def test_one_pass_reader_matches_row_loop(text):
+    # The same code, or the same error type, message and fields, as the
+    # loop that parses one row at a time.
+    def read(reader):
+        try:
+            return reader(text)
+        except (CodeFileError, RankDeficientError) as e:
+            return type(e), str(e), e.fields
+
+    assert read(LinearCode.from_symbols) == read(read_rows_reference)
+
+
 def test_parse_errors_carry_location():
     # The location is in the fields and, once, at the end of the message.
     with pytest.raises(CodeFileError) as exc:
@@ -315,6 +368,31 @@ def test_provenance_headers(tmp_path, capsys):
         assert cli.main([argv[0], path, *argv[1:]]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:3] == [f"# command: {command}", parent]
+
+
+def test_only_provenance_headers_hash_the_file(tmp_path, monkeypatch, capsys):
+    # A file is hashed only where a header records its digest: once for a
+    # derived code or a search from a base, never for info or parity.
+    path = write_code(tmp_path / "c.code", random_lcd(10, 6, 3))
+    base = quadric_base_file(tmp_path)
+    hashed = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(cli.hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+    search_base = [
+        "search", "--n", "13", "--k", "9", "--target-d", "4", "--seed", "1",
+        "--budget", "1000", "--strategy", "puncture-shorten", "--base", base,
+    ]
+    for argv, want in (
+        (["info", path], []),
+        (["info", path, "--json"], []),
+        (["parity", path], []),
+        (["dual", path], [Path(path).read_bytes()]),
+        (search_base, [Path(base).read_bytes()]),
+    ):
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert hashed == want
+        hashed.clear()
 
 
 def test_pair_check(capsys):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlcd4 import code as code_mod
 from hlcd4 import linalg
@@ -23,7 +25,7 @@ from hlcd4.code import (
 from hlcd4.errors import BudgetExceededError, RankDeficientError, TooLargeError
 from hlcd4.gf4 import CONJ, MUL
 
-from conftest import random_code, random_standard
+from conftest import code_with_hull, random_code, random_full_rank, random_standard
 
 
 def test_constructor_validation():
@@ -116,20 +118,68 @@ def test_dual_matches_kernel_of_conjugate(rng):
 
 
 def test_engine_and_summary_reuse_reductions(monkeypatch):
-    # The engine builds its information sets without ``linalg.rref``, and a
-    # summary reduces only twice: the dual's generator and the Gram matrix.
+    # A raw generator is packed and reduced once for the engine's set 0; a
+    # code's own weight starts from the code's reduced planes, with no
+    # reduction; and a summary reduces only twice, the dual's basis in the
+    # engine and the Gram matrix, and never builds the dual as a code.
     rng = np.random.default_rng(5)
     codes = [random_standard(rng, n, k) for n, k in ((12, 8), (24, 4), (70, 11))]
     calls = []
-    rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or rref(m))
+    reduce = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce", lambda m: calls.append(m.shape) or reduce(m))
+    monkeypatch.setattr(LinearCode, "hermitian_dual", None)
     for c in codes:
         _min_weight(c.gen)
+        assert calls == [c.gen.shape]
+        calls.clear()
         c.min_weight()
         assert calls == []
         c.summarize()
-        assert len(calls) <= 2
+        assert sorted(calls) == sorted([(c.n - c.k, c.n), (c.k, c.k)])
         calls.clear()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_summary_matches_the_long_way(data):
+    # Every field equals the long way round: the dual built as a code and
+    # enumerated from its canonical form, and the hull from its definition
+    # (even is self-orthogonal: the hull is the whole code).  Budgets stop
+    # at or just before the end of either enumeration, or at once, so d,
+    # d_dual or both are truncated.  The engine finds the same, field for
+    # field, from the stored planes, the canonical form and a row-mixed
+    # generator of the code.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="random generator"):
+        n = data.draw(st.integers(1, 14), label="n")
+        k = data.draw(st.integers(0, n), label="k")
+        c = LinearCode(random_full_rank(rng, k, n) if k else linalg.zeros(0, n))
+    else:
+        k = data.draw(st.integers(1, 6), label="k")
+        h = data.draw(st.integers(0, k), label="hull")
+        c = code_with_hull(rng, k, h, data.draw(st.integers(0, 3), label="extra"))
+    dual = c.hermitian_dual()
+    tried = [_min_weight(x.canonical).tried if x.k else 0 for x in (c, dual)]
+    budget = data.draw(
+        st.sampled_from([None, 1, *(t + e for t in tried for e in (-1, 0))]), label="budget"
+    )
+    budget = budget if budget is None else max(budget, 1)
+
+    def weight(x):
+        if x.k == 0:
+            return 0, True
+        r = _min_weight(x.canonical, budget=budget)
+        return r.best, r.exact
+
+    (d, d_exact), (d_dual, d_dual_exact) = weight(c), weight(dual)
+    hull = hull_dim_oracle(c)
+    want = CodeSummary(c.n, c.k, d, d_dual, hull, hull == 0, hull == c.k, d_exact, d_dual_exact)
+    assert c.summarize(budget) == want
+    if c.k:
+        mix = linalg.multiply(random_full_rank(rng, c.k, c.k), c.gen)
+        want = _min_weight(c.canonical, budget=budget)
+        assert _min_weight(c.canonical, budget=budget, reduced=c._reduced) == want
+        assert _min_weight(mix, budget=budget) == want
 
 
 def test_hull_dim_matches_oracle(rng):
