@@ -129,34 +129,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-_COORDS = ((("-t", "--coords"), "1-based, comma separated"),)
-_XY = ((("--x",), "symbols, length n-k"), (("--y",), "symbols, length n-k"))
-
-# The code-writing subcommands: name -> (help, options, derivation).  Each
-# option is (flags, help) and is required; the derivation takes the parsed
-# code and the option values in order and returns a generator matrix.  The
-# subparser and the provenance header are both built from the row.
-_DERIVE = {
-    "dual": ("Hermitian dual code", (), lambda code: code.hermitian_dual().gen),
-    "puncture": (
-        "delete coordinates",
-        _COORDS,
-        lambda code, t: puncture(code, _coords(t)).gen,
-    ),
-    "shorten": (
-        "restrict to zero coordinates, then delete",
-        _COORDS,
-        lambda code, t: shorten(code, _coords(t)).gen,
-    ),
-    "orthonormalize": ("generator with identity Gram matrix", (), orthonormalize),
-    "axy": (
-        "two-vector update of a standard-form code",
-        _XY,
-        lambda code, x, y: axy_construct(code, from_symbols(x), from_symbols(y)).gen,
-    ),
-}
-
-
 def _cmd_derive(args) -> int:
     code, text = _read_code(args.file)
     _, options, derive = _DERIVE[args.command]
@@ -293,99 +265,104 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
+# Options as (flags, ``add_argument`` keywords), in the order a subparser adds them.
+_FILE = (("file",), {})
+_JSON = (("--json",), dict(action="store_true"))
+_OUTPUT = (("-o", "--output"), dict(help="write the code file here instead of stdout"))
+_BUDGET = (
+    (("--exact-d",), dict(action="store_true", help="never truncate the weight scan")),
+    (
+        ("--budget",),
+        dict(
+            type=_positive_int,
+            default=_DEFAULT_BUDGET,
+            help="max enumerated codewords for min weight (default %(default)s)",
+        ),
+    ),
+)
+_COORDS = ((("-t", "--coords"), dict(required=True, help="1-based, comma separated")),)
+_XY = tuple(((f,), dict(required=True, help="symbols, length n-k")) for f in ("--x", "--y"))
 
-def _add_output(sp) -> None:
-    sp.add_argument("-o", "--output", help="write the code file here instead of stdout")
-
-
-def _add_budget(sp) -> None:
-    sp.add_argument("--exact-d", action="store_true", help="never truncate the weight scan")
-    sp.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=_DEFAULT_BUDGET,
-        help="max enumerated codewords for min weight (default %(default)s)",
-    )
-
-
-def _info_options(sp) -> None:
-    sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
-    _add_budget(sp)
-    sp.set_defaults(func=_cmd_info)
-
-
-def _parity_options(sp) -> None:
-    sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_parity)
-
-
-def _pair_check_options(sp) -> None:
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.set_defaults(func=_cmd_pair_check)
-
-
-def _search_options(sp) -> None:
-    sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--k", type=_positive_int, required=True, help="at most --n")
-    sp.add_argument("--target-d", type=_positive_int, required=True)
-    sp.add_argument(
-        "--seed", type=_nonnegative_int, required=True, help="explicit seed >= 0; no default"
-    )
-    sp.add_argument("--budget", type=_positive_int, default=100000, help="max candidates")
-    sp.add_argument(
-        "--strategy",
-        choices=[s.value for s in Strategy],
-        default=Strategy.RANDOM.value,
-    )
-    sp.add_argument("--base", help="base code file (axy / puncture-shorten)")
-    sp.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="accepted and ignored: search is serial, and its result depends "
-        "only on the seed and the candidate index",
-    )
-    _add_output(sp)
-    sp.set_defaults(func=_cmd_search)
+# The code-writing subcommands: name -> (help, options, derivation).  Each
+# option is required; the derivation takes the parsed code and the option
+# values in order and returns a generator matrix.  The subcommand's row in
+# ``_COMMANDS`` and the provenance header are both built from the row.
+_DERIVE = {
+    "dual": ("Hermitian dual code", (), lambda code: code.hermitian_dual().gen),
+    "puncture": ("delete coordinates", _COORDS, lambda code, t: puncture(code, _coords(t)).gen),
+    "shorten": (
+        "restrict to zero coordinates, then delete",
+        _COORDS,
+        lambda code, t: shorten(code, _coords(t)).gen,
+    ),
+    "orthonormalize": ("generator with identity Gram matrix", (), orthonormalize),
+    "axy": (
+        "two-vector update of a standard-form code",
+        _XY,
+        lambda code, x, y: axy_construct(code, from_symbols(x), from_symbols(y)).gen,
+    ),
+}
 
 
-def _verify_table_options(sp) -> None:
-    sp.add_argument("--results", required=True, help="directory of code files")
-    sp.add_argument("--bounds", help="bounds CSV (packaged table by default)")
-    _add_budget(sp)
-    sp.set_defaults(func=_cmd_verify_table)
-
-
-def _derive_row(name: str) -> tuple:
+def _derived(name: str) -> tuple:
+    """The ``_COMMANDS`` row of a code-writing subcommand."""
     help_text, options, _ = _DERIVE[name]
-
-    def add_options(sp) -> None:
-        sp.add_argument("file")
-        for flags, option_help in options:
-            sp.add_argument(*flags, required=True, help=option_help)
-        _add_output(sp)
-        sp.set_defaults(func=_cmd_derive)
-
-    return help_text, add_options
+    return help_text, _cmd_derive, (_FILE, *options, _OUTPUT)
 
 
-# The subcommands in listing order: name -> (help, a function that adds the
-# subcommand's options and its ``func`` default to its subparser).
+# The subcommands in listing order: name -> (help, handler, options).
 _COMMANDS = {
-    "info": ("summarize a code file", _info_options),
-    "dual": _derive_row("dual"),
-    "puncture": _derive_row("puncture"),
-    "shorten": _derive_row("shorten"),
-    "orthonormalize": _derive_row("orthonormalize"),
+    "info": ("summarize a code file", _cmd_info, (_FILE, _JSON, *_BUDGET)),
+    "dual": _derived("dual"),
+    "puncture": _derived("puncture"),
+    "shorten": _derived("shorten"),
+    "orthonormalize": _derived("orthonormalize"),
     # parity stays between orthonormalize and axy in the subcommand listing.
-    "parity": ("column-parity LCD report per coordinate", _parity_options),
-    "axy": _derive_row("axy"),
-    "pair-check": ("isotropy report for a vector pair", _pair_check_options),
-    "search": ("seeded search for an LCD code", _search_options),
-    "verify-table": ("check result codes against the bounds table", _verify_table_options),
+    "parity": ("column-parity LCD report per coordinate", _cmd_parity, (_FILE, _JSON)),
+    "axy": _derived("axy"),
+    "pair-check": (
+        "isotropy report for a vector pair",
+        _cmd_pair_check,
+        ((("--x",), dict(required=True)), (("--y",), dict(required=True))),
+    ),
+    "search": (
+        "seeded search for an LCD code",
+        _cmd_search,
+        (
+            (("--n",), dict(type=_positive_int, required=True)),
+            (("--k",), dict(type=_positive_int, required=True, help="at most --n")),
+            (("--target-d",), dict(type=_positive_int, required=True)),
+            (
+                ("--seed",),
+                dict(type=_nonnegative_int, required=True, help="explicit seed >= 0; no default"),
+            ),
+            (("--budget",), dict(type=_positive_int, default=100000, help="max candidates")),
+            (
+                ("--strategy",),
+                dict(choices=[s.value for s in Strategy], default=Strategy.RANDOM.value),
+            ),
+            (("--base",), dict(help="base code file (axy / puncture-shorten)")),
+            (
+                ("--threads",),
+                dict(
+                    type=_positive_int,
+                    default=1,
+                    help="accepted and ignored: search is serial, and its result depends "
+                    "only on the seed and the candidate index",
+                ),
+            ),
+            _OUTPUT,
+        ),
+    ),
+    "verify-table": (
+        "check result codes against the bounds table",
+        _cmd_verify_table,
+        (
+            (("--results",), dict(required=True, help="directory of code files")),
+            (("--bounds",), dict(help="bounds CSV (packaged table by default)")),
+            *_BUDGET,
+        ),
+    ),
 }
 
 
@@ -402,10 +379,12 @@ def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"hlcd4 {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options) in _COMMANDS.items():
+    for name, (help_text, handler, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if name == command:
-            add_options(sp)
+            for flags, keywords in options:
+                sp.add_argument(*flags, **keywords)
+            sp.set_defaults(func=handler)
     return p
 
 

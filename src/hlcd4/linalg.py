@@ -83,22 +83,14 @@ def _eliminate(lo: int, hi: int, rows: int, stride: int, first: int) -> tuple[in
             # and the later rows nonzero in it.
             e0, e1 = lo >> c & ones, hi >> c & ones
             either = (e0 | e1) & later
+            mask ^= bit
             if not either:
-                # The columns of the mask below the next pivot are zero in
-                # the later rows: the next pivot is the lowest column of the
-                # mask set in their union, folded into one row.
-                left = rows - len(pivots)
-                rest = (lo | hi) >> stride * len(pivots)
-                while left > 1:
-                    left = (left + 1) // 2
-                    rest = (rest | rest >> stride * left) & (1 << stride * left) - 1
-                rest &= mask
-                if not rest:
+                # No pivot in column c.  Once the later rows are all zero,
+                # none in the rest of the mask either, whose zero padding
+                # past the last column is then not walked.
+                if not (lo | hi) >> stride * len(pivots):
                     break
-                bit = rest & -rest
-                c = bit.bit_length() - 1
-                e0, e1 = lo >> c & ones, hi >> c & ones
-                either = (e0 | e1) & later
+                continue
             # Row r, the next pivot row, by its first bit.  A column that
             # is already row r's unit column has nothing to clear or move.
             sr = stride * len(pivots)
@@ -123,7 +115,6 @@ def _eliminate(lo: int, hi: int, rows: int, stride: int, first: int) -> tuple[in
                 lo ^= r0 << sp ^ (r0 ^ a0) << sr
                 hi ^= r1 << sp ^ (r1 ^ a1) << sr
             pivots.append(c)
-            mask &= -(bit << 1)
             later &= later - 1
     return lo, hi, pivots
 

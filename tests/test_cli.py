@@ -469,9 +469,13 @@ def test_verify_table_cli(tmp_path, capsys):
     ]
     assert cli.main(args) == 0
     capsys.readouterr()
+    # A subdirectory and a dotfile are not code files: neither is read.
+    (results / "nested.code").mkdir()
+    (results / ".c14.code.swp").write_text("not a code file\n")
     assert cli.main(["verify-table", "--results", str(results)]) == 0
     out = capsys.readouterr().out
-    assert "c14.code: [14,10] d=3" in out and "reproduced-lower" in out
+    assert out.startswith("c14.code: [14,10] d=3") and "reproduced-lower" in out
+    assert len(out.splitlines()) == 1
     # adding a non-LCD code flips the exit code
     bad = code_with_hull(np.random.default_rng(1), 6, 1)  # [12,6], hull 1
     write_code(results / "bad.code", bad)
@@ -634,20 +638,24 @@ def full_parser():
     )
     p.add_argument("--version", action="version", version=f"hlcd4 {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options) in cli._COMMANDS.items():
-        add_options(sub.add_parser(name, help=help_text))
+    for name, (help_text, handler, options) in cli._COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flags, keywords in options:
+            sp.add_argument(*flags, **keywords)
+        sp.set_defaults(func=handler)
     return p
 
 
-def parse_outcome(parser, argv):
-    """The Namespace, or the exit code; then the text on stdout and stderr."""
+def outcome(call, argv):
+    """What ``call(argv)`` returns, or the code it exits with; then the
+    text on stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            outcome = parser.parse_args(argv)
+            result = call(argv)
         except SystemExit as e:
-            outcome = e.code
-    return outcome, out.getvalue(), err.getvalue()
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
 
 
 VALID_ARGVS = [
@@ -685,7 +693,30 @@ def test_parser_matches_the_full_parser(argv):
     # The parser main builds for argv holds one subcommand's options; it
     # parses argv to the same Namespace as the full parser, or exits with
     # the same code and the same text.
-    assert parse_outcome(cli._parser_for(argv), argv) == parse_outcome(full_parser(), argv)
+    main_parser = cli._parser_for(argv)
+    assert outcome(main_parser.parse_args, argv) == outcome(full_parser().parse_args, argv)
+
+
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+def test_golden_covers_help_and_usage_errors():
+    argvs = [row["argv"] for row in GOLDEN]
+    assert ["-h"] in argvs and ["--version"] in argvs
+    assert all([name, "-h"] in argvs for name in cli._COMMANDS)
+    assert all(argv in argvs for argv in usage_error_argvs("c.code", "results"))
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="argparse formats help differently from Python 3.13"
+)
+@pytest.mark.parametrize("row", GOLDEN, ids=[" ".join(row["argv"]) for row in GOLDEN])
+def test_cli_text_matches_golden(row, monkeypatch):
+    # Help, version and usage-error text as recorded from the CLI: exit
+    # code, stdout and stderr byte for byte.  argparse wraps help to the
+    # terminal width, so the width is fixed at the recording's 80 columns.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(cli.main, row["argv"]) == (row["exit"], row["stdout"], row["stderr"])
 
 
 SRC = Path(cli.__file__).resolve().parents[1]

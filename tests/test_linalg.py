@@ -107,21 +107,42 @@ def test_rref_shape_and_idempotence(rng):
         assert linalg.rank(np.vstack([m, R])) == linalg.rank(m)
 
 
+def planted(m, masks):
+    """``m`` with the lowest, a middle and the highest column of each mask
+    zeroed, and its last row replaced by the sum of the others (zero when
+    it is the only row).  The eliminator meets the zero columns at the
+    start, in the middle and at the end of a mask, and the rank stays
+    below the row count, so it meets some both before and after the later
+    rows run out: it skips the column, or stops."""
+    m = m.copy()
+    for mask in masks:
+        cols = [c for c in range(m.shape[1]) if mask >> c & 1]
+        if cols:
+            m[:, [cols[0], cols[len(cols) // 2], cols[-1]]] = 0
+    if len(m):
+        m[-1] = np.bitwise_xor.reduce(m[:-1], axis=0)
+    return m
+
+
 def test_rref_matches_naive(rng):
     # empty shapes, k = 1, widths on both sides of 64-bit words, up to 30
-    # rows, with zeroed columns and repeated rows
+    # rows, with zeroed columns and repeated rows, then each shape again
+    # with planted zero columns and a dependent row
     shapes = [(0, 5), (4, 0), (0, 0), (1, 1), (1, 9)]
     shapes += [(int(rng.integers(1, 31)), n) for n in (63, 64, 65, 129) for _ in range(3)]
     shapes += [(int(rng.integers(1, 31)), int(rng.integers(1, 40))) for _ in range(60)]
-    for rows, cols in shapes:
-        m = rng.integers(0, 4, size=(rows, cols), dtype=np.uint8)
-        if rows and cols:
-            m[:, rng.random(cols) < 0.3] = 0
-            m[rng.integers(0, rows, size=rows // 3)] = m[rng.integers(0, rows)]
-        R, pivots = linalg.rref(m)
-        expected, expected_pivots = naive_rref(m)
-        assert R.dtype == np.uint8 and R.shape == m.shape
-        assert np.array_equal(R, expected) and pivots == expected_pivots, (rows, cols)
+    for plant in (False, True):
+        for rows, cols in shapes:
+            m = rng.integers(0, 4, size=(rows, cols), dtype=np.uint8)
+            if rows and cols:
+                m[:, rng.random(cols) < 0.3] = 0
+                m[rng.integers(0, rows, size=rows // 3)] = m[rng.integers(0, rows)]
+            if plant:
+                m = planted(m, [(1 << cols) - 1])
+            R, pivots = linalg.rref(m)
+            expected, expected_pivots = naive_rref(m)
+            assert R.dtype == np.uint8 and R.shape == m.shape
+            assert np.array_equal(R, expected) and pivots == expected_pivots, (rows, cols)
 
 
 @st.composite
@@ -183,6 +204,8 @@ def test_eliminate_is_unique_for_a_column_order(m, data):
     rows, cols = m.shape
     everything = (1 << cols) - 1
     first = data.draw(st.sampled_from([everything, 0]) | st.integers(0, everything))
+    if data.draw(st.booleans()):
+        m = planted(m, [first, everything ^ first])
     order = [c for c in range(cols) if first >> c & 1] + [c for c in range(cols) if not first >> c & 1]
     reduced, pivots = naive_rref(m[:, order])
     want = np.empty_like(m)
