@@ -7,20 +7,24 @@ code (k = 0) of length n is written as a comment and one all-zero row of n
 symbols: a body whose rows are all zero reads as the zero code.
 ``LinearCode.from_symbols`` reads the full format and is the package's one
 reader; ``parse_code_file`` calls it, so every file a subcommand writes
-reads back to the code it holds.  Files emitted by subcommands carry a
-``#`` provenance header recording the command and the options it declares
-(under their first flag), the seed where applicable, and the SHA-256 of the
-parent file; timing never enters the header, so reruns of a seeded command
-are byte-identical.
+reads back to the code it holds.  Every file a subcommand writes, search's
+included, carries a ``#`` provenance header built by one rule: the command
+and the options it records, under their first flag (search records ``--n``
+through ``--strategy``, seed included, and never ``--base``, ``--threads``
+or ``-o``), then the SHA-256 of the parent file (search's base, if any);
+search also records the candidates it tried.  Timing never enters the
+header, so reruns of a seeded command are byte-identical.
 Search is serial and its result depends only on the seed and the candidate
 index; ``search --threads`` is accepted and ignored.
 Each ``main`` call builds a parser that lists every subcommand but adds the
 options of the one it runs only, which is most of the parser's cost.
 
 Exit codes: 0 success, 1 domain error (a JSON object describing it goes to
-standard error), 2 usage error.  ``pair-check`` also exits 1 for a pair that
-is not a valid isotropic pair; that exit is its verdict, and its report goes
-to standard output either way.
+standard error; a search that uses its budget without a hit is a
+``TargetNotReached`` with ``candidates_tried``), 2 usage error.
+``pair-check`` also exits 1 for a pair that is not a valid isotropic pair;
+that exit is its verdict, and its report goes to standard output either
+way.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .code import _DEFAULT_BUDGET, CodeSummary, LinearCode
-from .errors import Hlcd4Error
+from .errors import Hlcd4Error, TargetNotReached
 from .gf4 import from_symbols, to_symbols
 from .search import SearchConfig, Strategy, VerifyStatus, search, verify_bounds
 from .tables import BoundsTable
@@ -129,14 +133,22 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _recorded(args, options) -> tuple[dict, str]:
+    """The values of ``options`` in ``args``, keyed as argparse stores them
+    (the long flag, ``-`` as ``_``), and the ``command:`` header line that
+    records them under their first flag."""
+    keys = [flags[-1].lstrip("-").replace("-", "_") for flags, _ in options]
+    values = {key: getattr(args, key) for key in keys}
+    words = [args.command] + [f"{f[0]} {values[key]}" for (f, _), key in zip(options, keys)]
+    return values, f"command: {' '.join(words)}"
+
+
 def _cmd_derive(args) -> int:
     code, text = _read_code(args.file)
     _, options, derive = _DERIVE[args.command]
-    # argparse stores each option under its long flag's name.
-    values = [getattr(args, flags[-1].lstrip("-")) for flags, _ in options]
-    gen = derive(code, *values)
-    command = [args.command] + [f"{f[0]} {v}" for (f, _), v in zip(options, values)]
-    header = [f"command: {' '.join(command)}", f"parent: sha256 {_digest(text)}"]
+    values, command = _recorded(args, options)
+    gen = derive(code, *values.values())
+    header = [command, f"parent: sha256 {_digest(text)}"]
     _write_output(emit_code_file(gen, header), args.output)
     return 0
 
@@ -174,31 +186,15 @@ def _cmd_pair_check(args) -> int:
 
 def _cmd_search(args) -> int:
     base, text = _read_code(args.base) if args.base else (None, None)
-    config = SearchConfig(
-        n=args.n,
-        k=args.k,
-        target_d=args.target_d,
-        seed=args.seed,
-        budget=args.budget,
-        strategy=Strategy(args.strategy),
-        base=base,
-        threads=args.threads,
-    )
-    result = search(config)
+    values, command = _recorded(args, _SEARCH)
+    result = search(SearchConfig(**values, base=base, threads=args.threads))
     if result.found is None:
-        err = {
-            "error": "TargetNotReached",
-            "message": f"no [{args.n},{args.k}] code with d >= {args.target_d} "
+        raise TargetNotReached(
+            f"no [{args.n},{args.k}] code with d >= {args.target_d} "
             f"within {result.candidates_tried} candidates",
-            "candidates_tried": result.candidates_tried,
-        }
-        print(json.dumps(err), file=sys.stderr)
-        return 1
-    header = [
-        f"command: search --n {args.n} --k {args.k} --target-d {args.target_d} "
-        f"--seed {args.seed} --budget {args.budget} --strategy {args.strategy}",
-        f"candidates tried: {result.candidates_tried}",
-    ]
+            candidates_tried=result.candidates_tried,
+        )
+    header = [command, f"candidates tried: {result.candidates_tried}"]
     if text is not None:
         header.append(f"parent: sha256 {_digest(text)}")
     _write_output(emit_code_file(result.found.gen, header), args.output)
@@ -283,6 +279,20 @@ _BUDGET = (
 _COORDS = ((("-t", "--coords"), dict(required=True, help="1-based, comma separated")),)
 _XY = tuple(((f,), dict(required=True, help="symbols, length n-k")) for f in ("--x", "--y"))
 
+# The search options a provenance header records, in the header's order;
+# argparse keys their values by SearchConfig's field names.
+_SEARCH = (
+    (("--n",), dict(type=_positive_int, required=True)),
+    (("--k",), dict(type=_positive_int, required=True, help="at most --n")),
+    (("--target-d",), dict(type=_positive_int, required=True)),
+    (
+        ("--seed",),
+        dict(type=_nonnegative_int, required=True, help="explicit seed >= 0; no default"),
+    ),
+    (("--budget",), dict(type=_positive_int, default=100000, help="max candidates")),
+    (("--strategy",), dict(choices=[s.value for s in Strategy], default=Strategy.RANDOM.value)),
+)
+
 # The code-writing subcommands: name -> (help, options, derivation).  Each
 # option is required; the derivation takes the parsed code and the option
 # values in order and returns a generator matrix.  The subcommand's row in
@@ -329,18 +339,7 @@ _COMMANDS = {
         "seeded search for an LCD code",
         _cmd_search,
         (
-            (("--n",), dict(type=_positive_int, required=True)),
-            (("--k",), dict(type=_positive_int, required=True, help="at most --n")),
-            (("--target-d",), dict(type=_positive_int, required=True)),
-            (
-                ("--seed",),
-                dict(type=_nonnegative_int, required=True, help="explicit seed >= 0; no default"),
-            ),
-            (("--budget",), dict(type=_positive_int, default=100000, help="max candidates")),
-            (
-                ("--strategy",),
-                dict(choices=[s.value for s in Strategy], default=Strategy.RANDOM.value),
-            ),
+            *_SEARCH,
             (("--base",), dict(help="base code file (axy / puncture-shorten)")),
             (
                 ("--threads",),
@@ -402,12 +401,9 @@ def main(argv: Optional[list] = None) -> int:
         parser.error(f"--k ({args.k}) must not exceed --n ({args.n})")
     try:
         return args.func(args)
-    except Hlcd4Error as e:
-        err = {"error": type(e).__name__, "message": str(e), **e.fields}
+    except (Hlcd4Error, ValueError, OSError) as e:
+        err = {"error": type(e).__name__, "message": str(e), **getattr(e, "fields", {})}
         print(json.dumps(err), file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
-        print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
 
 

@@ -71,6 +71,13 @@ class TooLargeError(Hlcd4Error):
     """The instance is too large for the exhaustive oracle path."""
 
 
+class TargetNotReached(Hlcd4Error):
+    """A search used its whole budget without reaching the target weight.
+
+    The field ``candidates_tried`` is the number of candidates it examined.
+    """
+
+
 class ExhaustedRetriesError(Hlcd4Error):
     """Rejection sampling hit its retry cap."""
 

@@ -27,6 +27,8 @@ candidate is found.  The light test and the engine behind the weight check
 run one enumerator, ``code._layer_weights``: the light test on the identity
 information set of every candidate of the block at once, the engine on the
 information sets of one code.
+Random search takes no base code: a ``SearchConfig`` with a base is
+refused with ``PreconditionError``.
 ``SearchConfig.threads`` is accepted and ignored: search is serial.
 ``SearchConfig.strategy`` takes a ``Strategy`` or its value ("random",
 "axy", "puncture-shorten"); anything else is refused.
@@ -222,35 +224,27 @@ def _seed_states(seed: int, index: np.ndarray) -> np.ndarray:
     The entropy [seed, i] is padded with zeros to four pool words.  Only
     word 1, the index, depends on the lane until source round 1 mixes it
     into the other three, so words 0, 2 and 3 and every hash of source
-    round 0 are computed once per block, as Python ints masked to 32 bits.  The lane
+    round 0 are computed once per block, as Python ints masked to 32 bits,
+    and fill the lane-free rows of the (4, lanes) pool.  The lane
     arithmetic wraps mod 2^32 as SeedSequence's own does, so every word is
     bit-identical to numpy's."""
     lanes = len(index)
-    word0, word2, word3 = _hash_word(seed, 0), _hash_word(0, 2), _hash_word(0, 3)
-    word1 = np.bitwise_xor(index, _POOL_HASH[1])
+    word0 = _hash_word(seed, 0)
+    pool = np.empty((4, lanes), dtype=np.uint32)
+    pool[0] = word0
+    word1 = pool[1]
+    np.bitwise_xor(index, _POOL_HASH[1], out=word1)
     word1 *= _POOL_HASH[2]
     word1 ^= word1 >> 16
     # Source round 0: word 0's hashes into words 1, 2 and 3 are lane-free.
     word1 *= _MIX_L
     word1 -= _MIX_R * _hash_word(word0, 4) & _M32
     word1 ^= word1 >> 16
-    word2 = _mix_word(word2, _hash_word(word0, 5))
-    word3 = _mix_word(word3, _hash_word(word0, 6))
-    # Source round 1 mixes word 1 into the lane-free words, mix(w, h) =
-    # L * w - R * h: computed in all four rows of the pool, then word 1 put
-    # back in its own row.
-    xor, mul = _ROUNDS[1]
-    pool = np.bitwise_xor(word1, xor)
-    pool *= mul
-    pool ^= pool >> 16
-    pool *= _MIX_R
-    scaled = [_MIX_L * w & _M32 for w in (word0, 0, word2, word3)]
-    np.subtract(np.array(scaled, dtype=np.uint32)[:, None], pool, out=pool)
-    pool ^= pool >> 16
-    pool[1] = word1
-    # Source rounds 2 and 3 likewise mix into all four rows and restore the
-    # source's own.
-    for src in (2, 3):
+    pool[2] = _mix_word(_hash_word(0, 2), _hash_word(word0, 5))
+    pool[3] = _mix_word(_hash_word(0, 3), _hash_word(word0, 6))
+    # Source rounds 1, 2 and 3 each mix the source's word into all four
+    # rows, mix(w, h) = L * w - R * h, and restore the source's own row.
+    for src in (1, 2, 3):
         xor, mul = _ROUNDS[src]
         kept = pool[src].copy()
         hashed = np.bitwise_xor(kept, xor)
@@ -449,6 +443,8 @@ def _exact_weight_at_least(gen: np.ndarray, target: int) -> Optional[int]:
 
 
 def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
+    if config.base is not None:
+        raise PreconditionError("RANDOM takes no base code")
     n, k, target = config.n, config.k, config.target_d
     for first, count in _blocks(config.budget, k, n - k):
         a = _candidate_block(config.seed, first, count, k, n - k)

@@ -460,6 +460,21 @@ def test_search_cli_axy_preconditions(tmp_path, capsys):
     assert err == {"error": "PreconditionError", "message": "base code is not LCD"}
 
 
+def test_search_cli_random_refuses_a_base(tmp_path, capsys):
+    # A random search given --base writes no file that names a parent it
+    # never read: a domain error instead.
+    base = write_code(tmp_path / "b.code", random_lcd(10, 4, 1))
+    out = tmp_path / "hit.code"
+    args = ["search", "--n", "10", "--k", "4", "--target-d", "2", "--seed", "1"]
+    assert cli.main([*args, "--base", base, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err) == {
+        "error": "PreconditionError",
+        "message": "RANDOM takes no base code",
+    }
+
+
 def test_verify_table_cli(tmp_path, capsys):
     results = tmp_path / "results"
     results.mkdir()
@@ -717,6 +732,44 @@ def test_cli_text_matches_golden(row, monkeypatch):
     # terminal width, so the width is fixed at the recording's 80 columns.
     monkeypatch.setenv("COLUMNS", "80")
     assert outcome(cli.main, row["argv"]) == (row["exit"], row["stdout"], row["stderr"])
+
+
+OUTPUTS = json.loads(Path(__file__).with_name("cli_outputs_golden.json").read_text())
+
+
+def test_output_golden_covers_every_writer_and_failure():
+    # The recording writes a file with every code-writing command and every
+    # search strategy, axy with and without a base, and fails in each way
+    # main reports.
+    writers = [call["argv"] for call in OUTPUTS["calls"] if "out.code" in call["argv"]]
+    assert {argv[0] for argv in writers} == {"search", *cli._DERIVE}
+    searches = sorted(
+        (argv[argv.index("--strategy") + 1] if "--strategy" in argv else "random", "--base" in argv)
+        for argv in writers
+        if argv[0] == "search"
+    )
+    want = [("axy", False), ("axy", True), ("puncture-shorten", True), ("random", False)]
+    assert searches == want
+    errors = {json.loads(call["stderr"])["error"] for call in OUTPUTS["calls"] if call["exit"]}
+    assert errors == {
+        "TargetNotReached", "FileNotFoundError", "ValueError", "CodeFileError",
+        "UnknownEntryError", "PreconditionError",
+    }
+
+
+@pytest.mark.parametrize("call", OUTPUTS["calls"], ids=lambda call: " ".join(call["argv"]))
+def test_failures_and_written_files_match_golden(call, tmp_path, monkeypatch):
+    # Failure reports and written code files as recorded from the CLI: exit
+    # code, stdout, stderr and the file written to out.code, byte for byte,
+    # with the recording's input files in the working directory.
+    for name, text in OUTPUTS["files"].items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert outcome(cli.main, call["argv"]) == (call["exit"], call["stdout"], call["stderr"])
+    written = tmp_path / "out.code"
+    assert (written.read_text() if written.exists() else None) == call["written"]
 
 
 SRC = Path(cli.__file__).resolve().parents[1]

@@ -49,14 +49,15 @@ def test_strategy_is_taken_by_value():
     # Each value runs its own strategy; none falls through to
     # puncture-shorten, and an unknown one is refused.
     base = shorten(elliptic_quadric_code(), [1, 2, 3])
-    config = dict(n=13, k=9, target_d=4, seed=1, base=base)
+    config = dict(n=13, k=9, target_d=4, seed=1)
     for strategy in Strategy:
         assert SearchConfig(**config, strategy=strategy.value).strategy is strategy
     assert set(importlib.import_module("hlcd4.search")._STRATEGIES) == set(Strategy)
-    hit = search(SearchConfig(**config, strategy="puncture-shorten"))
+    hit = search(SearchConfig(**config, base=base, strategy="puncture-shorten"))
     assert hit.candidates_tried == 2 and hit.found is not None
     with pytest.raises(PreconditionError, match=r"expected \[13,9\]"):
-        search(SearchConfig(**config, strategy="axy"))
+        search(SearchConfig(**config, base=base, strategy="axy"))
+    # Random search takes no base, so its runs have none.
     runs = [
         search(SearchConfig(**config, budget=3000, strategy=s)) for s in ("random", Strategy.RANDOM)
     ]
@@ -318,6 +319,16 @@ def test_axy_strategy_base_handling():
                 strategy=Strategy.AXY_NEIGHBORHOOD, base=base,
             )
         )
+
+
+def test_random_strategy_refuses_a_base():
+    # Random search never reads a base, so it takes none rather than let a
+    # provenance header record a parent the result does not derive from.
+    base = random_lcd(10, 5, 7)
+    config = SearchConfig(n=10, k=5, target_d=2, seed=1, budget=10, base=base)
+    with pytest.raises(PreconditionError, match="RANDOM takes no base code"):
+        search(config)
+    assert search(replace(config, base=None)).found is not None
 
 
 def test_axy_climb_runs_in_standard_form_columns():
