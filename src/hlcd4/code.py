@@ -14,16 +14,17 @@ the messages of one weight on one information set, of one code or, on a
 trailing batch axis, of many.  It serves both weight tests: the engine, and
 the batched light test of search, which runs the messages of weight 1, 2
 and 3 on the identity set of every code in a batch and drops the codes each
-step rejects before the next.  The engine, ``_min_weight``, is one loop: it
-enumerates messages by weight over several information sets
-(Brouwer-Zimmermann), each built by one packed elimination
-(``linalg._eliminate``, shared with row reduction), and stops once a lower
-bound on the weight of every codeword not yet seen meets the best weight
-found, at the cutoff, or at the enumeration budget, which counts the
-codewords enumerated.  An independent oracle counts the weight of every
-codeword from scratch, of the code itself for k <= 10 or of its Hermitian
-dual for n - k <= 10 (then transformed by the MacWilliams identity), for
-cross-checking.
+step rejects before the next.  The engine, ``_min_weight``, takes a
+``LinearCode`` and starts from the packed planes of its reduced form, so a
+code is reduced once, when it is built.  It is one loop: it enumerates
+messages by weight over several information sets (Brouwer-Zimmermann), each
+built by one packed elimination (``linalg._eliminate``, shared with row
+reduction), and stops once a lower bound on the weight of every codeword not
+yet seen meets the best weight found, at the cutoff, or at the enumeration
+budget, which counts the codewords enumerated.  An independent oracle
+counts the weight of every codeword from scratch, of the code itself for
+k <= 10 or of its Hermitian dual for n - k <= 10 (then transformed by the
+MacWilliams identity), for cross-checking.
 """
 
 from __future__ import annotations
@@ -190,22 +191,14 @@ class LinearCode:
     def hermitian_dual(self) -> "LinearCode":
         """The [n, n-k] code of vectors Hermitian-orthogonal to every codeword.
 
-        Its generator is the basis that ``_dual_basis`` reads off the
-        canonical form, with no second reduction.  ``summarize`` hands that
-        basis to the engine and does not build this code.
-        """
-        return LinearCode(self._dual_basis())
-
-    def _dual_basis(self) -> np.ndarray:
-        """A basis of the Hermitian dual, as the rows of a full-rank matrix.
-
         A vector x satisfies (x, y)_h = 0 for all rows y of G exactly when
         conj(G) x^T = 0, so the dual is the kernel of the conjugated
         generator matrix.  Conjugation is a field automorphism, so the
         reduced form of conj(G) is the conjugated canonical form, with the
-        same pivots: the basis needs no second reduction.
+        same pivots: the dual's generator is read off it with no reduction,
+        and the dual code reduces it once, as every code is reduced.
         """
-        return linalg._null_basis(CONJ[self._canonical], self._reduced[2])
+        return LinearCode(linalg._null_basis(CONJ[self._canonical], self._reduced[2]))
 
     def hull_dim(self) -> int:
         """Dimension of the intersection with the Hermitian dual.
@@ -240,7 +233,7 @@ class LinearCode:
         """
         if self.k < 1:
             raise ValueError("minimum weight requires k >= 1")
-        r = _min_weight(self._canonical, budget=budget, reduced=self._reduced)
+        r = _min_weight(self, budget=budget)
         if not r.exact:
             raise BudgetExceededError(
                 f"enumerated {r.tried} codewords without completing; best weight seen {r.best}",
@@ -252,21 +245,18 @@ class LinearCode:
         """Fill every summary field; budget truncation maps to non-exact flags.
 
         A zero code (the code itself with k = 0, or the dual of a full code)
-        has no nonzero codewords; its weight is reported as 0.  The engine
-        starts d from the code's own packed reduced planes, and d_dual from
-        the dual's basis (``_dual_basis``), which it packs and reduces
-        itself: the dual is never built as a second code.  Its reduced form
-        is unique, so the engine enumerates what it would for the dual's
-        canonical form.
+        has no nonzero codewords; its weight is reported as 0.  d and d_dual
+        come from one helper, run on this code and on ``hermitian_dual()``;
+        the engine starts each from that code's own packed reduced planes.
         """
-        def weight(gen, reduced=None):
-            if not len(gen):
+        def weight(code):
+            if not code.k:
                 return 0, True
-            r = _min_weight(gen, budget=budget, reduced=reduced)
+            r = _min_weight(code, budget=budget)
             return r.best, r.exact
 
-        d, d_exact = weight(self._canonical, self._reduced)
-        d_dual, d_dual_exact = weight(self._dual_basis())
+        d, d_exact = weight(self)
+        d_dual, d_dual_exact = weight(self.hermitian_dual())
         hull_dim = self.hull_dim()
         return CodeSummary(
             n=self.n,
@@ -483,12 +473,9 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
 # then they move down into ceil((n - k) / 64) words.  The sets' planes stay
 # Python ints until the last set is found; one conversion and one transpose
 # then make one array of every set's table, and each set's ``rows`` is a
-# view of it.  Set 0 is the reduced form in column order, which a
+# view of it.  Set 0 is the reduced form in column order, which the
 # ``LinearCode`` keeps from its own reduction: its weights start from those
-# planes, with no packing and no elimination.  Other callers hand the engine
-# a raw generator (search's survivors, the axy climb, puncture-shorten, a
-# code's dual basis), which it packs and reduces for set 0
-# (``linalg._reduce``).
+# planes, with no packing and no elimination.
 #
 # A step of the enumeration (one set, one message weight) writes its
 # codewords tail by tail into one chunk of up to ``_CHUNK`` codewords and
@@ -540,19 +527,18 @@ class _InfoSet:
     kept: int = 1
 
 
-def _information_sets(gen: np.ndarray, reduced=None) -> list[_InfoSet]:
-    """Greedy information sets of a full-rank generator, in order of use.
+def _information_sets(code: LinearCode) -> list[_InfoSet]:
+    """Greedy information sets of ``code``, in order of use.
 
-    Set 0 is the reduced form in column order: ``reduced``, its packed
-    planes and pivots as ``linalg._reduce(gen)`` returns them, when the
-    caller holds them, else reduced here.  Every set's planes stay Python
-    ints until the last set is found; one conversion and one transpose then
-    make the (S, 2, W, k, 3) table of all S sets, and each set's ``rows``
-    is a view of it.
+    Set 0 is the code's reduced form in column order, its packed planes and
+    pivots as the code keeps them.  Every set's planes stay Python ints
+    until the last set is found; one conversion and one transpose then make
+    the (S, 2, W, k, 3) table of all S sets, and each set's ``rows`` is a
+    view of it.
     """
-    k, n = gen.shape
+    k, n = code.k, code.n
     stride = _stride(n)
-    lo, hi, pivots = linalg._reduce(gen) if reduced is None else reduced
+    lo, hi, pivots = code._reduced
     # A 1 at bit 0 of every row.
     ones = ((1 << stride * k) - 1) // ((1 << stride) - 1)
     words = -(-(n - k) // 64) or 1
@@ -718,17 +704,8 @@ def _schedule(k: int, deficits: list[int]):
                 bound += done[j] >= deficit
 
 
-def _min_weight(
-    gen: np.ndarray,
-    cutoff: Optional[int] = None,
-    budget: Optional[int] = None,
-    reduced=None,
-) -> _Weight:
-    """Minimum weight of the code spanned by a full-rank generator.
-
-    ``reduced`` is the generator's packed reduced form, as
-    ``linalg._reduce(gen)`` returns it, when the caller holds it (a
-    ``LinearCode`` does); the result is the same without it.
+def _min_weight(code: LinearCode, cutoff: Optional[int] = None, budget: Optional[int] = None) -> _Weight:
+    """Minimum weight of ``code``, from its packed reduced planes.
 
     Information-set codewords are enumerated by message weight, one
     ``_schedule`` step at a time.  The enumeration stops, exact, once the
@@ -743,8 +720,8 @@ def _min_weight(
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    sets = _information_sets(gen, reduced)
-    k, n = gen.shape
+    sets = _information_sets(code)
+    k, n = code.k, code.n
     best, tried, bound = n + 1, 0, 0
 
     def result(exact, stop):

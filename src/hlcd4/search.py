@@ -434,9 +434,9 @@ def sample_isotropic_pair(length: int, rng) -> IsotropicPair:
     raise ExhaustedRetriesError("could not sample y orthogonal to x")
 
 
-def _exact_weight_at_least(gen: np.ndarray, target: int) -> Optional[int]:
+def _exact_weight_at_least(code: LinearCode, target: int) -> Optional[int]:
     """Exact minimum weight if it is >= target, else None (early abort)."""
-    r = _min_weight(gen, cutoff=target)
+    r = _min_weight(code, cutoff=target)
     if r.exact and r.best >= target:
         return r.best
     return None
@@ -451,10 +451,9 @@ def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         # The light test rejects most candidates and fully decides d >= target
         # when target <= 4; above that its survivors take the engine.
         for j in _light_survivors(a, target):
-            gen = np.hstack([linalg.identity(k), a[j]])
-            if target > 4 and _exact_weight_at_least(gen, target) is None:
+            code = LinearCode(np.hstack([linalg.identity(k), a[j]]))
+            if target > 4 and _exact_weight_at_least(code, target) is None:
                 continue
-            code = LinearCode(gen)
             if code.is_lcd():
                 return code, first + int(j) + 1
     return None, config.budget
@@ -470,7 +469,7 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
             raise PreconditionError(f"base is [{base.n},{base.k}], expected [{n},{k}]")
         if not base.is_lcd():
             raise PreconditionError("base code is not LCD")
-        start = linalg.standard_form(base.gen).matrix[:, k:]
+        start = LinearCode(linalg.standard_form(base.gen).matrix)
     else:
         start = None
     eye = linalg.identity(k)
@@ -478,10 +477,9 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
     def fresh(index: int):
         # The climb holds the A block of (I_k | A) and its Gram block; the
         # generator's Gram matrix is I + A conj(A)^T.
-        a = start
-        if a is None:
-            a = random_lcd(n, k, _candidate_rng(config.seed, index)).gen[:, k:]
-        return a, linalg.gram(a), _min_weight(np.hstack([eye, a])).best
+        code = start if start is not None else random_lcd(n, k, _candidate_rng(config.seed, index))
+        a = code.gen[:, k:]
+        return a, linalg.gram(a), _min_weight(code).best
 
     a, gram, current_d = fresh(0)
     plateau = 0
@@ -492,8 +490,9 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         moved = _axy_update(a, pair)
         if not np.array_equal(linalg.gram(moved), gram):
             raise AssertionError("two-vector update changed the Gram matrix")
-        rejected = not _light_survivors(moved[None], current_d).size
-        d = None if rejected else _exact_weight_at_least(np.hstack([eye, moved]), current_d)
+        d = None
+        if _light_survivors(moved[None], current_d).size:
+            d = _exact_weight_at_least(LinearCode(np.hstack([eye, moved])), current_d)
         if d is not None and d > current_d:
             a, current_d, plateau = moved, d, 0
         elif d is not None:
@@ -525,7 +524,7 @@ def _search_puncture_shorten(config: SearchConfig) -> tuple[Optional[LinearCode]
         if (
             (candidate.n, candidate.k) == (config.n, config.k)
             and candidate.is_lcd()
-            and _exact_weight_at_least(candidate.gen, config.target_d) is not None
+            and _exact_weight_at_least(candidate, config.target_d) is not None
         ):
             return candidate, tried
     return None, min(config.budget, 2 * base.n)

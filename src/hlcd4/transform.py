@@ -244,12 +244,14 @@ def _weight_hypothesis_failure(code: LinearCode) -> Optional[str]:
     weight and dual minimum weight both at least 2) that ``code`` fails, or
     None when it holds.
 
-    No enumeration is needed: a code holds a weight-1 word on coordinate i
-    exactly when column i of its dual's generator is zero.  So the minimum
-    weight is at least 2 when the dual's generator has no zero column, and
-    the dual's is when the code's own generator has none.
+    No enumeration is needed.  A codeword's coefficients in the canonical
+    basis are its own entries at the pivots, so a weight-1 codeword is a
+    multiple of a canonical row, and the minimum weight is at least 2 when
+    no canonical row has weight 1.  The dual holds a weight-1 word on
+    coordinate i exactly when column i of the generator is zero, so its
+    minimum weight is at least 2 when the generator has no zero column.
     """
-    if not code.hermitian_dual().gen.any(axis=0).all():
+    if (np.count_nonzero(code.canonical, axis=1) == 1).any():
         return "minimum weight must be at least 2"
     if not code.gen.any(axis=0).all():
         return "dual minimum weight must be at least 2"

@@ -118,24 +118,23 @@ def test_dual_matches_kernel_of_conjugate(rng):
 
 
 def test_engine_and_summary_reuse_reductions(monkeypatch):
-    # A raw generator is packed and reduced once for the engine's set 0; a
-    # code's own weight starts from the code's reduced planes, with no
-    # reduction; and a summary reduces only twice, the dual's basis in the
-    # engine and the Gram matrix, and never builds the dual as a code.
+    # The engine starts from a code's own reduced planes, with no
+    # reduction; a summary reduces twice: the dual's basis once, inside
+    # ``hermitian_dual`` as it builds the dual as a code, and the Gram
+    # matrix once.
     rng = np.random.default_rng(5)
     codes = [random_standard(rng, n, k) for n, k in ((12, 8), (24, 4), (70, 11))]
     calls = []
     reduce = linalg._reduce
     monkeypatch.setattr(linalg, "_reduce", lambda m: calls.append(m.shape) or reduce(m))
-    monkeypatch.setattr(LinearCode, "hermitian_dual", None)
+    dual = LinearCode.hermitian_dual
+    monkeypatch.setattr(LinearCode, "hermitian_dual", lambda c: calls.append("dual") or dual(c))
     for c in codes:
-        _min_weight(c.gen)
-        assert calls == [c.gen.shape]
-        calls.clear()
+        _min_weight(c)
         c.min_weight()
         assert calls == []
         c.summarize()
-        assert sorted(calls) == sorted([(c.n - c.k, c.n), (c.k, c.k)])
+        assert calls == ["dual", (c.n - c.k, c.n), (c.k, c.k)]
         calls.clear()
 
 
@@ -147,8 +146,8 @@ def test_summary_matches_the_long_way(data):
     # (even is self-orthogonal: the hull is the whole code).  Budgets stop
     # at or just before the end of either enumeration, or at once, so d,
     # d_dual or both are truncated.  The engine finds the same, field for
-    # field, from the stored planes, the canonical form and a row-mixed
-    # generator of the code.
+    # field, from the code itself and from codes built from its canonical
+    # form and from a row-mixed generator.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     if data.draw(st.booleans(), label="random generator"):
         n = data.draw(st.integers(1, 14), label="n")
@@ -159,7 +158,7 @@ def test_summary_matches_the_long_way(data):
         h = data.draw(st.integers(0, k), label="hull")
         c = code_with_hull(rng, k, h, data.draw(st.integers(0, 3), label="extra"))
     dual = c.hermitian_dual()
-    tried = [_min_weight(x.canonical).tried if x.k else 0 for x in (c, dual)]
+    tried = [_min_weight(LinearCode(x.canonical)).tried if x.k else 0 for x in (c, dual)]
     budget = data.draw(
         st.sampled_from([None, 1, *(t + e for t in tried for e in (-1, 0))]), label="budget"
     )
@@ -168,7 +167,7 @@ def test_summary_matches_the_long_way(data):
     def weight(x):
         if x.k == 0:
             return 0, True
-        r = _min_weight(x.canonical, budget=budget)
+        r = _min_weight(LinearCode(x.canonical), budget=budget)
         return r.best, r.exact
 
     (d, d_exact), (d_dual, d_dual_exact) = weight(c), weight(dual)
@@ -177,9 +176,9 @@ def test_summary_matches_the_long_way(data):
     assert c.summarize(budget) == want
     if c.k:
         mix = linalg.multiply(random_full_rank(rng, c.k, c.k), c.gen)
-        want = _min_weight(c.canonical, budget=budget)
-        assert _min_weight(c.canonical, budget=budget, reduced=c._reduced) == want
-        assert _min_weight(mix, budget=budget) == want
+        want = _min_weight(LinearCode(c.canonical), budget=budget)
+        assert _min_weight(c, budget=budget) == want
+        assert _min_weight(LinearCode(mix), budget=budget) == want
 
 
 def test_hull_dim_matches_oracle(rng):
@@ -240,7 +239,7 @@ def test_min_weight_budget_semantics(rng):
     # the budget counts enumerated codewords: a run completes exactly at its
     # own count, at k = 6 and at k = 10
     for c in (random_standard(rng, 16, 6), random_standard(rng, 30, 10)):
-        r = _min_weight(c.gen)
+        r = _min_weight(c)
         assert r.exact and r.stop == "bound"
         assert c.min_weight(budget=r.tried) == c.min_weight() == r.best
         with pytest.raises(BudgetExceededError) as exc:
@@ -413,14 +412,14 @@ def test_scan_handles_n_above_64(rng, monkeypatch):
     assert c.min_weight() == min_weight_oracle(c) > 255
     # budget and cutoff behave as on a one-word code
     c = random_code(rng, 70, 4)
-    tried = _min_weight(c.gen).tried
+    tried = _min_weight(c).tried
     d = c.min_weight(budget=tried)
     assert d == min_weight_oracle(c)
     with pytest.raises(BudgetExceededError) as exc:
         c.min_weight(budget=tried - 1)
     assert exc.value.upper_bound >= d
-    assert _min_weight(c.gen, cutoff=d)[:2] == (d, True)
-    assert _min_weight(c.gen, cutoff=d + 1).exact is False
+    assert _min_weight(c, cutoff=d)[:2] == (d, True)
+    assert _min_weight(c, cutoff=d + 1).exact is False
 
 
 def test_summarize_round_trip(rng):

@@ -54,7 +54,7 @@ def chunk_mode(mode):
 
 def engine(gen, mode, **kwargs):
     with chunk_mode(mode):
-        return _min_weight(gen, **kwargs)
+        return _min_weight(LinearCode(gen), **kwargs)
 
 
 @st.composite
@@ -166,7 +166,7 @@ def test_information_sets_match_symbol_reference(gen):
     # The same sets in the same order with the same deficits, and the same
     # codeword weights in the same order for every message weight up to 3:
     # only the order of the A_j columns may differ, which no weight sees.
-    got, want = _information_sets(gen), information_sets_reference(gen)
+    got, want = _information_sets(LinearCode(gen)), information_sets_reference(gen)
     assert [s.deficit for s in got] == [s.deficit for s in want]
     for g, w in zip(got, want):
         assert g.rows.shape[:2] == w.rows.shape[:2]
@@ -219,7 +219,7 @@ def information_sets_per_set(gen):
 def test_information_sets_are_views_of_one_array(gen):
     # The same deficits and the same tables, word for word, as sets built
     # one at a time; every table a view of one array.
-    got, want = _information_sets(gen), information_sets_per_set(gen)
+    got, want = _information_sets(LinearCode(gen)), information_sets_per_set(gen)
     assert [s.deficit for s in got] == [s.deficit for s in want]
     for g, w in zip(got, want):
         assert g.rows.dtype == w.rows.dtype and np.array_equal(g.rows, w.rows)
@@ -257,8 +257,9 @@ def high_rate_generators(draw):
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(high_rate_generators())
 def test_engine_matches_oracle_at_high_rate(gen):
-    d = min_weight_oracle(LinearCode(gen))
-    r = _min_weight(gen)
+    c = LinearCode(gen)
+    d = min_weight_oracle(c)
+    r = _min_weight(c)
     assert (r.best, r.exact, r.bound, r.stop) == (d, True, d, "bound")
 
 
@@ -277,7 +278,7 @@ def scrambled_standard(seed, n, k):
     ids=["[17,13] quadric", "[24,16]", "[30,22] scrambled"],
 )
 def test_engine_matches_oracle_beyond_k_10(code):
-    r = _min_weight(code.gen)
+    r = _min_weight(code)
     assert r.stop == "bound" and r.tried < 10**5
     assert r.best == min_weight_oracle(code)
 
@@ -286,43 +287,43 @@ def test_engine_known_answer_at_26_13():
     # n - k = 13 is beyond the oracle; d = 6 was confirmed by enumerating
     # one codeword of each of the (4^13 - 1)/3 projective classes
     code = random_standard(np.random.default_rng(26), 26, 13)
-    r = _min_weight(code.gen)
+    r = _min_weight(code)
     assert (r.best, r.exact, r.stop) == (6, True, "bound") and r.tried < 10**5
 
 
 def test_stop_reasons():
     rng = np.random.default_rng(7)
     small = random_standard(rng, 12, 4)
-    r = _min_weight(small.gen)
+    r = _min_weight(small)
     assert (r.stop, r.exact, r.bound) == ("bound", True, r.best)
 
     code = random_standard(rng, 30, 12)
-    r = _min_weight(code.gen)
+    r = _min_weight(code)
     d = r.best
     assert (r.stop, r.exact, r.bound) == ("bound", True, d)
 
-    r = _min_weight(code.gen, cutoff=d + 1)
+    r = _min_weight(code, cutoff=d + 1)
     assert (r.stop, r.exact) == ("cutoff", False) and r.best < d + 1
 
-    r = _min_weight(code.gen, budget=_min_weight(code.gen).tried - 1)
+    r = _min_weight(code, budget=_min_weight(code).tried - 1)
     assert (r.stop, r.exact) == ("budget", False) and r.bound <= d <= r.best
 
 
-QUADRIC = elliptic_quadric_code().gen
+QUADRIC = elliptic_quadric_code()
 
 
 @pytest.mark.parametrize(
-    "gen, kwargs, expected",
+    "code, kwargs, expected",
     [
         (QUADRIC, {}, (4, True, 2821, 4, "bound")),
-        (random_lcd(30, 15, 1).gen, {}, (8, True, 8850, 8, "bound")),
-        (random_lcd(30, 10, 1).hermitian_dual().gen, {}, (4, True, 10850, 4, "bound")),
+        (random_lcd(30, 15, 1), {}, (8, True, 8850, 8, "bound")),
+        (random_lcd(30, 10, 1).hermitian_dual(), {}, (4, True, 10850, 4, "bound")),
         (QUADRIC, {"cutoff": 5}, (4, False, 1, 1, "cutoff")),
         (QUADRIC, {"budget": 100}, (4, False, 100, 2, "budget")),
         # These two stop inside a layer whose order depends on the kept-layer
         # rule, and on when a partial set catches up.
-        (random_lcd(26, 13, 1).hermitian_dual().gen, {}, (6, True, 2379, 6, "bound")),
-        (random_lcd(30, 15, 2).gen, {"cutoff": 9}, (8, False, 149, 3, "cutoff")),
+        (random_lcd(26, 13, 1).hermitian_dual(), {}, (6, True, 2379, 6, "bound")),
+        (random_lcd(30, 15, 2), {"cutoff": 9}, (8, False, 149, 3, "cutoff")),
     ],
     ids=[
         "quadric",
@@ -334,10 +335,10 @@ QUADRIC = elliptic_quadric_code().gen
         "[30,15] seed 2 cutoff",
     ],
 )
-def test_engine_pinned_weights(gen, kwargs, expected):
+def test_engine_pinned_weights(code, kwargs, expected):
     # Every field, ``tried`` included, so the order in which the engine
     # enumerates codewords and where it stops stay fixed.
-    assert _min_weight(gen, **kwargs) == expected
+    assert _min_weight(code, **kwargs) == expected
 
 
 def layer_weights_per_tail(s, v):
@@ -372,7 +373,7 @@ def layer_weights_per_tail(s, v):
 def assert_streams_match_per_tail(gen):
     # Every set and message weight up to 4, in order, so the kept layers
     # grow as they do in the engine.
-    for got in _information_sets(gen):
+    for got in _information_sets(LinearCode(gen)):
         want = _InfoSet(got.deficit, got.rows, got.layer)
         for v in range(1, min(4, gen.shape[0]) + 1):
             a = np.concatenate(list(_layer_weights(got, v)))
@@ -434,7 +435,9 @@ def test_batched_steps_match_one_code_each(bounds, monkeypatch):
                 # Every seventh code of the batch and the last, one at a time.
                 eye = np.eye(k, dtype=np.uint8)
                 picked = sorted({*range(0, batch, 7), batch - 1})
-                alone = {b: _information_sets(np.hstack([eye, a[b]]))[0] for b in picked}
+                alone = {
+                    b: _information_sets(LinearCode(np.hstack([eye, a[b]])))[0] for b in picked
+                }
                 widths.add(rows.shape[1])
                 for v in range(1, min(3, k) + 1):
                     chunks = list(_layer_weights(together, v))
@@ -463,9 +466,9 @@ def test_chunks_span_tails(n, k):
             calls["chunks"] += 1
             yield weights
 
-    gen = random_lcd(n, k, 1).gen
+    c = random_lcd(n, k, 1)
     with mock.patch("hlcd4.code._layer_weights", counted):
-        r = _min_weight(gen)
+        r = _min_weight(c)
     assert calls["chunks"] <= calls["steps"] + -(-r.tried // code._CHUNK)
 
 
@@ -473,7 +476,7 @@ def test_chunks_span_tails(n, k):
 def test_budget_below_one_is_refused(budget):
     c = random_lcd(12, 6, 1)
     with pytest.raises(ValueError, match="budget must be at least 1"):
-        _min_weight(c.gen, budget=budget)
+        _min_weight(c, budget=budget)
     with pytest.raises(ValueError, match="budget must be at least 1"):
         c.min_weight(budget=budget)
     with pytest.raises(ValueError, match="budget must be at least 1"):

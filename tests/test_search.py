@@ -117,8 +117,9 @@ def _first_hit(config):
         rng = np.random.default_rng([config.seed, index])
         a = rng.integers(0, 4, size=(k, n - k), dtype=np.uint8)
         gen = np.hstack([np.eye(k, dtype=np.uint8), a])
-        r = _min_weight(gen, cutoff=target)
-        if r.exact and r.best >= target and LinearCode(gen).is_lcd():
+        c = LinearCode(gen)
+        r = _min_weight(c, cutoff=target)
+        if r.exact and r.best >= target and c.is_lcd():
             return index + 1, gen
     return config.budget, None
 
@@ -191,6 +192,37 @@ def test_random_search_does_not_depend_on_block_schedule(monkeypatch, n, k, targ
             r = search(config)
         assert r.candidates_tried == default.candidates_tried
         assert np.array_equal(r.found.gen, default.found.gen)
+
+
+def test_random_search_reduces_each_survivor_once(monkeypatch):
+    # Above target 4 every light-test survivor takes the engine.  It is
+    # built as a code once, and the engine and the LCD check start from
+    # that code: the (k, n) matrices reduced are the survivors' generators
+    # up to the hit, in order, each once.
+    n, k = 20, 8
+    search_module = importlib.import_module("hlcd4.search")
+    light, reduce = search_module._light_survivors, linalg._reduce
+    batches, reduced = [], []
+
+    def survivors(a, target):
+        batches.append((a, light(a, target)))
+        return batches[-1][1]
+
+    def recorded(m):
+        if m.shape == (k, n):
+            reduced.append(m.tobytes())
+        return reduce(m)
+
+    monkeypatch.setattr(search_module, "_light_survivors", survivors)
+    monkeypatch.setattr(linalg, "_reduce", recorded)
+    config = SearchConfig(n=n, k=k, target_d=8, seed=1, budget=10**5)
+    found, tried = search_module._search_random(config)
+    assert found is not None and tried == 85
+    eye, first, want = linalg.identity(k), 0, []
+    for a, alive in batches:
+        want += [np.hstack([eye, a[j]]).tobytes() for j in alive if first + j < tried]
+        first += len(a)
+    assert len(want) > 1 and reduced == want
 
 
 @pytest.mark.parametrize(
@@ -390,6 +422,30 @@ def test_puncture_shorten_strategy_shortens():
             hit = target == 4 and budget >= 2
             assert (r.found is not None) == hit
             assert r.candidates_tried == (2 if hit else budget)
+
+
+def test_puncture_shorten_candidate_is_not_reduced_for_the_engine(monkeypatch):
+    # The candidate reaches the engine as the code it is, already reduced.
+    search_module = importlib.import_module("hlcd4.search")
+    exact, reduce = search_module._exact_weight_at_least, linalg._reduce
+    reduced, weighed = [], []
+
+    def weigh(code, target):
+        before = len(reduced)
+        result = exact(code, target)
+        weighed.append(len(reduced) - before)
+        return result
+
+    monkeypatch.setattr(linalg, "_reduce", lambda m: reduced.append(m.shape) or reduce(m))
+    monkeypatch.setattr(search_module, "_exact_weight_at_least", weigh)
+    base = shorten(elliptic_quadric_code(), [1, 2, 3])
+    r = search(
+        SearchConfig(
+            n=13, k=9, target_d=4, seed=1, budget=10**4,
+            strategy=Strategy.PUNCTURE_SHORTEN, base=base,
+        )
+    )
+    assert r.found is not None and weighed == [0]
 
 
 def test_puncture_shorten_strategy_punctures():

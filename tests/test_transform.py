@@ -22,6 +22,7 @@ from hlcd4.search import sample_isotropic_pair
 from hlcd4.transform import (
     Derivative,
     IsotropicPair,
+    _weight_hypothesis_failure,
     axy_construct,
     check_isotropic,
     lcd_column_parity,
@@ -31,7 +32,7 @@ from hlcd4.transform import (
     shorten,
 )
 
-from conftest import code_with_hull, random_code, random_lcd_with_margin
+from conftest import code_with_hull, random_code, random_full_rank, random_lcd_with_margin
 
 # --- isotropic pairs -------------------------------------------------------
 
@@ -349,6 +350,39 @@ def test_lcd_exactly_one_hypothesis_matches_exact_weights(data):
         return
     with pytest.raises(PreconditionError, match=refusal):
         lcd_exactly_one(c, 1)
+
+
+def weight_hypothesis_failure_from_dual(code):
+    """The weight hypothesis read off the Hermitian dual: the code holds a
+    weight-1 word on coordinate i exactly when column i of the dual's
+    generator is zero, and the dual does when column i of the code's is."""
+    if not code.hermitian_dual().gen.any(axis=0).all():
+        return "minimum weight must be at least 2"
+    if not code.gen.any(axis=0).all():
+        return "dual minimum weight must be at least 2"
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_weight_hypothesis_matches_the_dual_based_rule(data):
+    # The canonical rows' weights give the same verdict and message as the
+    # dual's zero columns, LCD or not: zero and full codes, and planted
+    # weight-1 rows and zero columns, hidden by a row mix.
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    gen = rng.integers(0, 4, size=(k, n), dtype=np.uint8)
+    for _ in range(data.draw(st.integers(0, 2), label="zero columns") if k else 0):
+        gen[:, rng.integers(n)] = 0
+    for i in range(data.draw(st.integers(0, k), label="weight-1 rows")):
+        gen[i] = 0
+        gen[i, rng.integers(n)] = rng.integers(1, 4)
+    assume(linalg.rank(gen) == k)
+    if k:
+        gen = linalg.multiply(random_full_rank(rng, k, k), gen)
+    c = LinearCode(gen)
+    assert _weight_hypothesis_failure(c) == weight_hypothesis_failure_from_dual(c)
 
 
 # --- orthonormalization and the parity criterion ----------------------------
