@@ -384,6 +384,10 @@ def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
             for flags, keywords in options:
                 sp.add_argument(*flags, **keywords)
             sp.set_defaults(func=handler)
+            # For the usage errors main finds after parsing, which read as
+            # the subcommand's; kept off the Namespace, which holds only
+            # what was parsed.
+            p.invoked = sp
     return p
 
 
@@ -398,7 +402,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = _parser_for(argv)
     args = parser.parse_args(argv)
     if args.command == "search" and args.k > args.n:
-        parser.error(f"--k ({args.k}) must not exceed --n ({args.n})")
+        parser.invoked.error(f"--k ({args.k}) must not exceed --n ({args.n})")
     try:
         return args.func(args)
     except (Hlcd4Error, ValueError, OSError) as e:

@@ -1,7 +1,9 @@
 """Linear codes over the four-element field: duals, hulls, minimum weight.
 
-A code is held as a full-row-rank generator matrix; the reduced row echelon
-form is the canonical representative used for equality.  The zero code
+A code is held as a full-row-rank generator matrix and the packed bit
+planes of its reduced row echelon form (:mod:`hlcd4.gf4`), which is the
+canonical representative: equality and hashing compare the planes, and the
+form is unpacked to symbols only when ``canonical`` is read.  The zero code
 (k = 0) is permitted as the result of puncturing or shortening and is
 treated as trivially LCD (its hull is the zero space).
 
@@ -98,16 +100,14 @@ class LinearCode:
             raise ValueError("generator matrix must be 2-d")
         if gen.shape[1] < 1:
             raise ValueError("code length must be at least 1")
-        k, n = gen.shape
+        k = len(gen)
         # The packed planes and pivots of the reduced form: the engine starts
         # from them.
-        lo, hi, pivots = self._reduced = linalg._reduce(gen)
+        _, _, pivots = self._reduced = linalg._reduce(gen)
         if len(pivots) != k:
             raise RankDeficientError(f"generator matrix has rank {len(pivots)}, expected {k}")
-        self._canonical = _unpack_planes(_from_ints((lo, hi), k, n), n)
         self._gen = gen.copy()
         self._gen.setflags(write=False)
-        self._canonical.setflags(write=False)
         self._gram: Optional[np.ndarray] = None
 
     @classmethod
@@ -162,8 +162,14 @@ class LinearCode:
 
     @property
     def canonical(self) -> np.ndarray:
-        """Reduced row echelon form of the generator matrix."""
-        return self._canonical
+        """Reduced row echelon form of the generator matrix, read-only.
+
+        The code stores only the form's packed planes; each read unpacks
+        them into a new array.
+        """
+        canonical = _unpack_planes(_from_ints(self._reduced[:2], self.k, self.n), self.n)
+        canonical.setflags(write=False)
+        return canonical
 
     @property
     def gram(self) -> np.ndarray:
@@ -177,10 +183,12 @@ class LinearCode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.canonical, other.canonical)
+        # The length and the reduced form's planes determine the code: every
+        # row of the form is nonzero, so they also fix k.
+        return (self.n, *self._reduced[:2]) == (other.n, *other._reduced[:2])
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self.canonical.tobytes()))
+        return hash((self.n, *self._reduced[:2]))
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k})"
@@ -198,14 +206,14 @@ class LinearCode:
         same pivots: the dual's generator is read off it with no reduction,
         and the dual code reduces it once, as every code is reduced.
         """
-        return LinearCode(linalg._null_basis(CONJ[self._canonical], self._reduced[2]))
+        return LinearCode(linalg._null_basis(CONJ[self.canonical], self._reduced[2]))
 
     def hull_dim(self) -> int:
         """Dimension of the intersection with the Hermitian dual.
 
         Computed as k - rank(G * conj(G)^T); no dual basis is materialized.
         """
-        return self.k - linalg.rank(np.asarray(self.gram))
+        return self.k - linalg.rank(self.gram)
 
     def is_lcd(self) -> bool:
         """True when the Hermitian hull is trivial (G * conj(G)^T nonsingular)."""
@@ -218,7 +226,7 @@ class LinearCode:
         matrix: the diagonal entries are the row-weight parities and the
         off-diagonal entries are the pairwise inner products.
         """
-        return not np.asarray(self.gram).any()
+        return not self.gram.any()
 
     def min_weight(self, budget: Optional[int] = None) -> int:
         """Exact minimum weight over all nonzero codewords.

@@ -352,9 +352,8 @@ def _candidate_block(seed: int, start: int, count: int, k: int, m: int) -> np.nd
     candidates draw from numpy one at a time."""
     computed = max(0, min(count, 2**32 - start)) if seed < 2**32 else 0
     block = np.empty((count, k, m), dtype=np.uint8)
-    if computed:
-        index = np.arange(start, start + computed, dtype=np.uint32)
-        _pcg_entries(seed, index, block[:computed].reshape(computed, k * m))
+    index = np.arange(start, start + computed, dtype=np.uint32)
+    _pcg_entries(seed, index, block[:computed].reshape(computed, k * m))
     for i in range(computed, count):
         rng = _candidate_rng(seed, start + i)
         block[i] = rng.integers(0, 4, size=(k, m), dtype=np.uint8)
@@ -493,13 +492,12 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         d = None
         if _light_survivors(moved[None], current_d).size:
             d = _exact_weight_at_least(LinearCode(np.hstack([eye, moved])), current_d)
-        if d is not None and d > current_d:
-            a, current_d, plateau = moved, d, 0
-        elif d is not None:
-            # Sideways move: wander the plateau, up to the cap, then
-            # restart the climb from a fresh draw (budget permitting).
-            plateau += 1
-            a = moved
+        if d is not None:
+            # An improving move leaves the plateau; a sideways move wanders
+            # it, up to the cap, then the climb restarts from a fresh draw
+            # (budget permitting).
+            plateau = 0 if d > current_d else plateau + 1
+            a, current_d = moved, d
         if plateau > _PLATEAU_CAP and index < config.budget:
             index += 1
             a, gram, current_d = fresh(index)

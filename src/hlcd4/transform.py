@@ -226,8 +226,6 @@ def shorten(code: LinearCode, coords: Union[int, Sequence[int]]) -> LinearCode:
     # null space of G restricted to those columns.
     restricted = code.gen[:, drop]
     messages = linalg.kernel(restricted.T)
-    if messages.shape[0] == 0:
-        return LinearCode(linalg.zeros(0, len(keep)))
     words = linalg.multiply(messages, code.gen)
     return LinearCode(words[:, keep])
 
@@ -310,8 +308,7 @@ def orthonormalize(code: LinearCode) -> np.ndarray:
         odd = np.nonzero(diag == 1)[0]
         if odd.size:
             i = int(odd[0])
-            if i:
-                W[[step, step + i]] = W[[step + i, step]]
+            W[[step, step + i]] = W[[step + i, step]]
         else:
             # A nonsingular Gram matrix has no zero row, so row 0 has a
             # partner j with a nonzero product.

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlcd4 import code as code_mod
-from hlcd4 import linalg
+from hlcd4 import gf4, linalg
 from hlcd4.code import (
     CodeSummary,
     LinearCode,
@@ -52,6 +52,7 @@ def test_from_symbols():
     c = LinearCode.from_symbols("1 0 w\n0 1 W")
     assert (c.n, c.k) == (3, 2)
     assert str(c) == "10w\n01W"
+    assert repr(c) == "LinearCode(n=3, k=2)"
     with pytest.raises(ValueError):
         LinearCode.from_symbols("10\n011")
     with pytest.raises(ValueError):
@@ -64,6 +65,40 @@ def test_generator_is_immutable():
         c.gen[0, 0] = 3
     with pytest.raises(ValueError):
         c.gram[0, 0] = 1
+    with pytest.raises(ValueError):
+        c.canonical[0, 0] = 3
+
+
+def test_construction_unpacks_nothing(monkeypatch, rng):
+    # A code keeps only the packed planes of its reduced form; reading
+    # ``canonical`` unpacks them, and building the code does not.
+    calls = []
+    unpack = gf4._unpack_planes
+    counted = lambda planes, m: calls.append(m) or unpack(planes, m)
+    for module in (gf4, linalg, code_mod):
+        monkeypatch.setattr(module, "_unpack_planes", counted)
+    gens = [random_full_rank(rng, k, n) for n, k in ((12, 8), (30, 15), (70, 5))]
+    codes = [LinearCode(g) for g in gens] + [LinearCode(np.zeros((0, 6), dtype=np.uint8))]
+    assert calls == []
+    canonical = [c.canonical for c in codes]
+    assert calls == [c.n for c in codes]
+    for c, form in zip(codes, canonical):
+        assert np.array_equal(form, linalg.rref(c.gen)[0][: c.k])
+
+
+def test_equality_and_hash_follow_the_canonical_form(rng):
+    # Zero codes of several lengths, codes of one length and every
+    # dimension, and row-mixed generators of the same codes.
+    codes = [LinearCode(np.zeros((0, n), dtype=np.uint8)) for n in (1, 5, 6)]
+    codes += [random_code(rng, 6, k) for k in range(1, 7) for _ in range(2)]
+    mixed = [LinearCode(linalg.multiply(random_full_rank(rng, c.k, c.k), c.gen)) for c in codes[3:]]
+    assert not any(np.array_equal(m.gen, c.gen) for m, c in zip(mixed, codes[3:]))
+    for a, b in itertools.product(codes + mixed, repeat=2):
+        same = a.n == b.n and np.array_equal(a.canonical, b.canonical)
+        assert (a == b) is same and (a != b) is not same
+        if same:
+            assert hash(a) == hash(b)
+    assert mixed == codes[3:]
 
 
 def test_equality_is_row_space_equality(rng):
@@ -250,6 +285,8 @@ def test_min_weight_budget_semantics(rng):
 
 
 def test_min_weight_oracle_limits(rng):
+    with pytest.raises(ValueError, match="requires k >= 1"):
+        min_weight_oracle(LinearCode(np.zeros((0, 4), dtype=np.uint8)))
     # k > 10 is counted on the dual while n - k <= 10; beyond both, too large
     with pytest.raises(TooLargeError):
         min_weight_oracle(random_standard(rng, 24, 11))

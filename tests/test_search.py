@@ -95,6 +95,19 @@ def test_sample_isotropic_pair(rng):
         sample_isotropic_pair(1, rng)
 
 
+def test_sample_isotropic_pair_retry_cap(monkeypatch):
+    # ``hlcd4.search`` is also the name of the search function, so the
+    # module comes from importlib.  No draw at all fails on x; one draw
+    # each, at seed 0, finds x and fails on y.
+    module = importlib.import_module("hlcd4.search")
+    monkeypatch.setattr(module, "_RETRY_CAP", 0)
+    with pytest.raises(ExhaustedRetriesError, match="could not sample x"):
+        sample_isotropic_pair(4, 0)
+    monkeypatch.setattr(module, "_RETRY_CAP", 1)
+    with pytest.raises(ExhaustedRetriesError, match="could not sample y"):
+        sample_isotropic_pair(4, 0)
+
+
 def test_random_strategy_finds_and_is_deterministic():
     cfg = SearchConfig(n=12, k=6, target_d=5, seed=3, budget=20000)
     first = search(cfg)
