@@ -30,6 +30,7 @@ way.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -143,9 +144,8 @@ def _recorded(args, options) -> tuple[dict, str]:
     return values, f"command: {' '.join(words)}"
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(derive, options, args) -> int:
     code, text = _read_code(args.file)
-    _, options, derive = _DERIVE[args.command]
     values, command = _recorded(args, options)
     gen = derive(code, *values.values())
     header = [command, f"parent: sha256 {_digest(text)}"]
@@ -293,43 +293,33 @@ _SEARCH = (
     (("--strategy",), dict(choices=[s.value for s in Strategy], default=Strategy.RANDOM.value)),
 )
 
-# The code-writing subcommands: name -> (help, options, derivation).  Each
-# option is required; the derivation takes the parsed code and the option
-# values in order and returns a generator matrix.  The subcommand's row in
-# ``_COMMANDS`` and the provenance header are both built from the row.
-_DERIVE = {
-    "dual": ("Hermitian dual code", (), lambda code: code.hermitian_dual().gen),
-    "puncture": ("delete coordinates", _COORDS, lambda code, t: puncture(code, _coords(t)).gen),
-    "shorten": (
-        "restrict to zero coordinates, then delete",
-        _COORDS,
-        lambda code, t: shorten(code, _coords(t)).gen,
-    ),
-    "orthonormalize": ("generator with identity Gram matrix", (), orthonormalize),
-    "axy": (
-        "two-vector update of a standard-form code",
-        _XY,
-        lambda code, x, y: axy_construct(code, from_symbols(x), from_symbols(y)).gen,
-    ),
-}
-
-
-def _derived(name: str) -> tuple:
-    """The ``_COMMANDS`` row of a code-writing subcommand."""
-    help_text, options, _ = _DERIVE[name]
-    return help_text, _cmd_derive, (_FILE, *options, _OUTPUT)
+def _derived(help_text: str, derive, *options) -> tuple:
+    """The ``_COMMANDS`` row of a code-writing subcommand.  Each of its
+    ``options`` is required; ``derive`` takes the parsed code and their
+    values in order and returns a generator matrix, and the provenance
+    header records them."""
+    return help_text, functools.partial(_cmd_derive, derive, options), (_FILE, *options, _OUTPUT)
 
 
 # The subcommands in listing order: name -> (help, handler, options).
 _COMMANDS = {
     "info": ("summarize a code file", _cmd_info, (_FILE, _JSON, *_BUDGET)),
-    "dual": _derived("dual"),
-    "puncture": _derived("puncture"),
-    "shorten": _derived("shorten"),
-    "orthonormalize": _derived("orthonormalize"),
-    # parity stays between orthonormalize and axy in the subcommand listing.
+    "dual": _derived("Hermitian dual code", lambda code: code.hermitian_dual().gen),
+    "puncture": _derived(
+        "delete coordinates", lambda code, t: puncture(code, _coords(t)).gen, *_COORDS
+    ),
+    "shorten": _derived(
+        "restrict to zero coordinates, then delete",
+        lambda code, t: shorten(code, _coords(t)).gen,
+        *_COORDS,
+    ),
+    "orthonormalize": _derived("generator with identity Gram matrix", orthonormalize),
     "parity": ("column-parity LCD report per coordinate", _cmd_parity, (_FILE, _JSON)),
-    "axy": _derived("axy"),
+    "axy": _derived(
+        "two-vector update of a standard-form code",
+        lambda code, x, y: axy_construct(code, from_symbols(x), from_symbols(y)).gen,
+        *_XY,
+    ),
     "pair-check": (
         "isotropy report for a vector pair",
         _cmd_pair_check,

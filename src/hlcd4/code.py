@@ -108,7 +108,6 @@ class LinearCode:
             raise RankDeficientError(f"generator matrix has rank {len(pivots)}, expected {k}")
         self._gen = gen.copy()
         self._gen.setflags(write=False)
-        self._gram: Optional[np.ndarray] = None
 
     @classmethod
     def from_symbols(cls, text: str) -> "LinearCode":
@@ -173,12 +172,13 @@ class LinearCode:
 
     @property
     def gram(self) -> np.ndarray:
-        """G * conj(G)^T, cached."""
-        if self._gram is None:
-            g = linalg.gram(self._gen)
-            g.setflags(write=False)
-            self._gram = g
-        return self._gram
+        """G * conj(G)^T, read-only.
+
+        Nothing is cached: each read computes it into a new array.
+        """
+        gram = linalg.gram(self._gen)
+        gram.setflags(write=False)
+        return gram
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -256,6 +256,7 @@ class LinearCode:
         has no nonzero codewords; its weight is reported as 0.  d and d_dual
         come from one helper, run on this code and on ``hermitian_dual()``;
         the engine starts each from that code's own packed reduced planes.
+        hull_dim and is_even both come from one read of ``gram``.
         """
         def weight(code):
             if not code.k:
@@ -265,7 +266,8 @@ class LinearCode:
 
         d, d_exact = weight(self)
         d_dual, d_dual_exact = weight(self.hermitian_dual())
-        hull_dim = self.hull_dim()
+        gram = self.gram
+        hull_dim = self.k - linalg.rank(gram)
         return CodeSummary(
             n=self.n,
             k=self.k,
@@ -273,7 +275,7 @@ class LinearCode:
             d_dual=d_dual,
             hull_dim=hull_dim,
             is_lcd=hull_dim == 0,
-            is_even=self.is_even(),
+            is_even=not gram.any(),
             d_exact=d_exact,
             d_dual_exact=d_dual_exact,
         )

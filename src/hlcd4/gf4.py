@@ -7,7 +7,9 @@ satisfies w^2 + w + 1 = 0.  Writing a = a0 + a1*w, the encoding is the
 
 Vectors are numpy uint8 arrays with values in {0, 1, 2, 3}.  ``elements``
 checks entries before the cast, so no out-of-range value wraps into the
-field; codes, vectors and isotropic pairs are built through it.
+field; codes, vectors and isotropic pairs are built through it, and
+``hermitian_inner`` and the public functions of :mod:`hlcd4.linalg` take
+their arguments through it.
 
 The fast paths (row reduction, the light test and the minimum-weight
 engine) work on one packed format, owned by this module.  A vector splits
@@ -127,6 +129,7 @@ def conj_vector(x: np.ndarray) -> np.ndarray:
 
 def hermitian_inner(x: np.ndarray, y: np.ndarray) -> int:
     """sum_i x_i * conj(y_i).  Conjugate-symmetric sesquilinear form."""
+    x, y = elements(x), elements(y)
     if len(x) != len(y):
         raise LengthMismatchError(f"lengths differ: {len(x)} vs {len(y)}")
     return int(np.bitwise_xor.reduce(MUL[x, CONJ[y]]))

@@ -1,8 +1,10 @@
 """Dense matrices over the four-element field.
 
 Matrices are numpy uint8 arrays with values in {0, 1, 2, 3}; products work
-through the tables in :mod:`hlcd4.gf4`.  Row reduction has one eliminator,
-``_eliminate``, shared by ``rref`` and the minimum-weight engine's
+through the tables in :mod:`hlcd4.gf4`.  The public functions take their
+matrices through ``gf4.elements``, which raises ValueError for an entry
+outside the field instead of letting it wrap.  Row reduction has one
+eliminator, ``_eliminate``, shared by ``rref`` and the minimum-weight engine's
 information sets: it works on the matrix's two bit planes, packed as in
 :mod:`hlcd4.gf4`, each held as one Python int, and clears a pivot column
 in every row with a few whole-matrix integer operations.  A pivot column
@@ -30,6 +32,7 @@ from .gf4 import (
     _stride,
     _to_ints,
     _unpack_planes,
+    elements,
 )
 
 
@@ -39,6 +42,7 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises:
         DimensionMismatchError: if ``a.shape[1] != b.shape[0]``.
     """
+    a, b = elements(a), elements(b)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionMismatchError("operands must be 2-d matrices")
     if a.shape[1] != b.shape[0]:
@@ -56,6 +60,7 @@ def conj_transpose(m: np.ndarray) -> np.ndarray:
 
 def gram(g: np.ndarray) -> np.ndarray:
     """The k x k matrix of pairwise Hermitian inner products of rows of g."""
+    g = elements(g)
     return multiply(g, conj_transpose(g))
 
 
@@ -135,14 +140,14 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivot; pivot_cols lists the pivot column indices in order.  The row
         space of R equals the row space of m.
     """
-    m = np.asarray(m, dtype=np.uint8)
+    m = elements(m)
     *planes, pivots = _reduce(m)
     return _unpack_planes(_from_ints(planes, *m.shape), m.shape[1]), pivots
 
 
 def rank(m: np.ndarray) -> int:
     """The number of pivots of the reduced form, which is not unpacked."""
-    return len(_reduce(np.asarray(m, dtype=np.uint8))[2])
+    return len(_reduce(elements(m))[2])
 
 
 def _null_basis(r: np.ndarray, pivots) -> np.ndarray:
@@ -198,6 +203,7 @@ def standard_form(g: np.ndarray) -> StandardForm:
     Raises:
         RankDeficientError: if g does not have full row rank.
     """
+    g = elements(g)
     k, n = g.shape
     R, pivots = rref(g)
     if len(pivots) != k:

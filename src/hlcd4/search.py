@@ -20,10 +20,10 @@ block holds 64 indices and each later one four times as many, up to about
 vectorised light weight test, over messages of weight at most 3, covers
 the whole block of drawn candidates at any length; it tests one message
 weight at a time and drops the candidates each part rejects.
-Only its survivors, in index order, take the weight check (for targets
-above 4) and the LCD check.  The result is therefore the lowest hit index,
-a pure function of (seed, index): the block size never changes which
-candidate is found.  The light test and the engine behind the weight check
+Only its survivors, in index order, take the LCD check, and those that
+pass it take the weight check for targets above 4.  The result is
+therefore the lowest hit index, a pure function of (seed, index): the
+block size never changes which candidate is found.  The light test and the engine behind the weight check
 run one enumerator, ``code._layer_weights``: the light test on the identity
 information set of every candidate of the block at once, the engine on the
 information sets of one code.
@@ -448,12 +448,10 @@ def _search_random(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
     for first, count in _blocks(config.budget, k, n - k):
         a = _candidate_block(config.seed, first, count, k, n - k)
         # The light test rejects most candidates and fully decides d >= target
-        # when target <= 4; above that its survivors take the engine.
+        # when target <= 4; above that its LCD survivors take the engine.
         for j in _light_survivors(a, target):
             code = LinearCode(np.hstack([linalg.identity(k), a[j]]))
-            if target > 4 and _exact_weight_at_least(code, target) is None:
-                continue
-            if code.is_lcd():
+            if code.is_lcd() and (target <= 4 or _exact_weight_at_least(code, target) is not None):
                 return code, first + int(j) + 1
     return None, config.budget
 
@@ -519,8 +517,9 @@ def _search_puncture_shorten(config: SearchConfig) -> tuple[Optional[LinearCode]
     derivations = product(range(1, base.n + 1), (puncture, shorten))
     for tried, (coord, derive) in enumerate(islice(derivations, config.budget), 1):
         candidate = derive(base, coord)
+        # The base check fixes the candidate's length; only k can differ.
         if (
-            (candidate.n, candidate.k) == (config.n, config.k)
+            candidate.k == config.k
             and candidate.is_lcd()
             and _exact_weight_at_least(candidate, config.target_d) is not None
         ):

@@ -112,10 +112,11 @@ class BoundsTable:
 
         The packaged table is parsed once and the same table returned on
         every later call (a table has no mutators); a CSV at ``path`` is
-        read afresh on every call.
+        read afresh on every call, with or without the UTF-8 byte-order mark
+        that spreadsheet tools write.
         """
         if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 return cls.from_csv_text(fh.read())
         return cls._packaged()
 

@@ -742,7 +742,12 @@ def test_output_golden_covers_every_writer_and_failure():
     # search strategy, axy with and without a base, and fails in each way
     # main reports.
     writers = [call["argv"] for call in OUTPUTS["calls"] if "out.code" in call["argv"]]
-    assert {argv[0] for argv in writers} == {"search", *cli._DERIVE}
+    takes_output = {
+        name
+        for name, (_, _, options) in cli._COMMANDS.items()
+        if any("-o" in flags for flags, _ in options)
+    }
+    assert {argv[0] for argv in writers} == takes_output
     searches = sorted(
         (argv[argv.index("--strategy") + 1] if "--strategy" in argv else "random", "--base" in argv)
         for argv in writers
@@ -796,6 +801,16 @@ def run_alone(argv, cwd):
         check=False,
     )
     return out.returncode, out.stdout, out.stderr
+
+
+def test_module_entry_point(tmp_path):
+    # ``python -m hlcd4.cli`` exits with main's code.
+    code, out, _ = run_alone(["--version"], tmp_path)
+    assert (code, out) == (0, f"hlcd4 {__version__}\n")
+    code, _, err = run_alone(
+        ["search", "--n", "4", "--k", "5", "--target-d", "2", "--seed", "1"], tmp_path
+    )
+    assert code == 2 and err.endswith("error: --k (5) must not exceed --n (4)\n")
 
 
 def test_interleaved_calls_match_calls_run_alone(tmp_path, monkeypatch, capsys):

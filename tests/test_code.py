@@ -173,6 +173,18 @@ def test_engine_and_summary_reuse_reductions(monkeypatch):
         calls.clear()
 
 
+def test_summarize_computes_the_gram_matrix_once(monkeypatch):
+    # Nothing caches the Gram matrix: each read of ``gram`` computes it, so
+    # the summary reads it once for both hull_dim and is_even.
+    c = random_standard(np.random.default_rng(3), 12, 5)
+    calls = []
+    gram = linalg.gram
+    monkeypatch.setattr(linalg, "gram", lambda g: calls.append(g.shape) or gram(g))
+    c.summarize()
+    assert calls == [(5, 12)]
+    assert c.gram is not c.gram and not c.gram.flags.writeable
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_summary_matches_the_long_way(data):

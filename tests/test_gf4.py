@@ -145,6 +145,13 @@ def test_hermitian_inner_edge_cases():
         gf4.hermitian_inner(gf4.vector("1"), gf4.vector("11"))
 
 
+@pytest.mark.parametrize("x, y", [([-1], [1]), ([1], [-1]), ([4, 0], [1, 1]), ([1.0], [1])])
+def test_hermitian_inner_refuses_entries_outside_the_field(x, y):
+    # -1 would index CONJ and MUL from the end and read as w^2.
+    with pytest.raises(ValueError, match="entries must be in 0..3"):
+        gf4.hermitian_inner(x, y)
+
+
 # --- the packed bit-plane format -------------------------------------------
 
 

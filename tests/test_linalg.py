@@ -261,6 +261,33 @@ def test_standard_form_round_trip(rng):
         assert sorted(sf.permutation.tolist()) == list(range(n))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg.rref([[1.7, 2.2]]),
+        lambda: linalg.rank([[4]]),
+        lambda: linalg.kernel([[5, 1]]),
+        lambda: linalg.multiply([[-1]], [[1]]),
+        lambda: linalg.multiply([[1]], [[256]]),
+        lambda: linalg.gram([[1, 4]]),
+        lambda: linalg.standard_form([[1, 0, -3]]),
+    ],
+    ids=["rref", "rank", "kernel", "multiply-left", "multiply-right", "gram", "standard_form"],
+)
+def test_entries_outside_the_field_are_refused(call):
+    # A uint8 cast would read 4 and 256 as field elements, -1 and -3 as
+    # indices from the end of the tables, and truncate 1.7 and 2.2.
+    with pytest.raises(ValueError, match="entries must be in 0..3"):
+        call()
+
+
+def test_public_functions_take_nested_lists():
+    g = [[1, 0, 2], [0, 1, 3]]
+    sf = linalg.standard_form(g)
+    assert np.array_equal(sf.matrix, np.array(g)) and sf.permutation.tolist() == [0, 1, 2]
+    assert linalg.rank(g) == 2 and linalg.gram(g).tolist() == [[0, 3], [2, 0]]
+
+
 def test_standard_form_rank_deficient():
     g = np.array([[1, 2, 3], [2, 3, 1]], dtype=np.uint8)  # row2 = w * row1
     with pytest.raises(RankDeficientError):

@@ -208,10 +208,10 @@ def test_random_search_does_not_depend_on_block_schedule(monkeypatch, n, k, targ
 
 
 def test_random_search_reduces_each_survivor_once(monkeypatch):
-    # Above target 4 every light-test survivor takes the engine.  It is
-    # built as a code once, and the engine and the LCD check start from
-    # that code: the (k, n) matrices reduced are the survivors' generators
-    # up to the hit, in order, each once.
+    # Every light-test survivor is built as a code once, and the LCD check
+    # and, above target 4, the engine for an LCD survivor start from that
+    # code: the (k, n) matrices reduced are the survivors' generators up to
+    # the hit, in order, each once.
     n, k = 20, 8
     search_module = importlib.import_module("hlcd4.search")
     light, reduce = search_module._light_survivors, linalg._reduce
@@ -236,6 +236,33 @@ def test_random_search_reduces_each_survivor_once(monkeypatch):
         want += [np.hstack([eye, a[j]]).tobytes() for j in alive if first + j < tried]
         first += len(a)
     assert len(want) > 1 and reduced == want
+
+
+def test_random_search_runs_the_engine_on_lcd_survivors_only(monkeypatch):
+    # Above target 4 a survivor takes the LCD check first; the engine sees
+    # only the LCD ones.  The hit is the same, since both checks must pass.
+    n, k = 14, 6
+    search_module = importlib.import_module("hlcd4.search")
+    light, exact = search_module._light_survivors, search_module._exact_weight_at_least
+    survivors, engine = [], []
+
+    def recorded_survivors(a, target):
+        alive = light(a, target)
+        survivors.extend(LinearCode(np.hstack([linalg.identity(k), a[j]])) for j in alive)
+        return alive
+
+    def recorded_engine(code, target):
+        engine.append(code)
+        return exact(code, target)
+
+    monkeypatch.setattr(search_module, "_light_survivors", recorded_survivors)
+    monkeypatch.setattr(search_module, "_exact_weight_at_least", recorded_engine)
+    config = SearchConfig(n=n, k=k, target_d=6, seed=1, budget=10**5)
+    found, tried = search_module._search_random(config)
+    assert found is not None and tried == 229
+    seen = survivors[: survivors.index(found) + 1]
+    assert sum(not code.is_lcd() for code in seen) == 2
+    assert engine == [code for code in seen if code.is_lcd()]
 
 
 @pytest.mark.parametrize(
@@ -345,6 +372,19 @@ def test_axy_step_asserts_the_gram_matrix(monkeypatch):
     )
     with pytest.raises(AssertionError, match="Gram matrix"):
         search(cfg)
+
+
+# "11" is not LCD (its one row is self-orthogonal); "1" is LCD with d = 1.
+@pytest.mark.parametrize("symbols", ["11", "1"], ids=["not-lcd", "below-target"])
+def test_search_post_check_refuses_a_nonconforming_code(monkeypatch, symbols):
+    # A strategy that returned a code that is not LCD, or is LCD but below
+    # the target, would be caught before the result is returned.
+    search_module = importlib.import_module("hlcd4.search")
+    bad = LinearCode.from_symbols(symbols)
+    monkeypatch.setitem(search_module._STRATEGIES, Strategy.RANDOM, lambda config: (bad, 1))
+    config = SearchConfig(n=bad.n, k=1, target_d=2, seed=0)
+    with pytest.raises(AssertionError, match="non-conforming"):
+        search(config)
 
 
 def test_axy_strategy_base_handling():

@@ -122,6 +122,18 @@ def test_load_from_path_reads_the_file_each_time(tmp_path, table):
     assert BoundsTable.load().entry(12, 4).lower == 7
 
 
+def test_load_from_path_skips_a_byte_order_mark(tmp_path, table):
+    # Spreadsheet tools save CSV as UTF-8 with a byte-order mark; without
+    # it skipped, the first column would be named "\ufeffn".
+    target = tmp_path / "bounds.csv"
+    text = resources.files("hlcd4").joinpath("data/d4_bounds.csv").read_text()
+    target.write_text(text, encoding="utf-8-sig")
+    assert target.read_bytes().startswith(b"\xef\xbb\xbf")
+    reloaded = BoundsTable.load(str(target))
+    assert len(reloaded) == len(table) == 266
+    assert list(reloaded) == list(table)
+
+
 def test_flag_parsing():
     e = BoundsEntry(n=12, k=4, lower=7, upper=7, flags=frozenset({Flag.BOLD}))
     assert e.bold and not e.star and e.exact
