@@ -176,7 +176,7 @@ class LinearCode:
 
         Nothing is cached: each read computes it into a new array.
         """
-        gram = linalg.gram(self._gen)
+        gram = linalg._gram(self._gen)
         gram.setflags(write=False)
         return gram
 
@@ -213,7 +213,7 @@ class LinearCode:
 
         Computed as k - rank(G * conj(G)^T); no dual basis is materialized.
         """
-        return self.k - linalg.rank(self.gram)
+        return self.k - len(linalg._reduce(self.gram)[2])
 
     def is_lcd(self) -> bool:
         """True when the Hermitian hull is trivial (G * conj(G)^T nonsingular)."""
@@ -267,7 +267,7 @@ class LinearCode:
         d, d_exact = weight(self)
         d_dual, d_dual_exact = weight(self.hermitian_dual())
         gram = self.gram
-        hull_dim = self.k - linalg.rank(gram)
+        hull_dim = self.k - len(linalg._reduce(gram)[2])
         return CodeSummary(
             n=self.n,
             k=self.k,

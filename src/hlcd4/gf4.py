@@ -7,9 +7,14 @@ satisfies w^2 + w + 1 = 0.  Writing a = a0 + a1*w, the encoding is the
 
 Vectors are numpy uint8 arrays with values in {0, 1, 2, 3}.  ``elements``
 checks entries before the cast, so no out-of-range value wraps into the
-field; codes, vectors and isotropic pairs are built through it, and
-``hermitian_inner`` and the public functions of :mod:`hlcd4.linalg` take
-their arguments through it.
+field.  Entries are checked once, where data enters the package:
+``LinearCode`` checks its generator, ``IsotropicPair`` and
+``check_isotropic`` their vectors, ``vector`` and ``hermitian_inner`` their
+arguments, and each public function of :mod:`hlcd4.linalg` each of its
+arguments.  Past that point nothing checks again: the package's own
+products, Gram matrices and reductions run through the unchecked cores
+``linalg._product``, ``linalg._gram`` and ``linalg._reduce``, which take
+arrays already checked.
 
 The fast paths (row reduction, the light test and the minimum-weight
 engine) work on one packed format, owned by this module.  A vector splits

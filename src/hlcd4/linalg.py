@@ -1,9 +1,13 @@
 """Dense matrices over the four-element field.
 
 Matrices are numpy uint8 arrays with values in {0, 1, 2, 3}; products work
-through the tables in :mod:`hlcd4.gf4`.  The public functions take their
-matrices through ``gf4.elements``, which raises ValueError for an entry
-outside the field instead of letting it wrap.  Row reduction has one
+through the tables in :mod:`hlcd4.gf4`.  Each public function checks each
+of its arguments once, through ``gf4.elements``, which raises ValueError
+for an entry outside the field instead of letting it wrap, and no public
+function hands checked input to another.  Their unchecked cores,
+``_product``, ``_gram`` and ``_reduce``, take arrays already checked: the
+package calls them on generators that came in through ``LinearCode`` and
+on the vectors of an ``IsotropicPair``.  Row reduction has one
 eliminator, ``_eliminate``, shared by ``rref`` and the minimum-weight engine's
 information sets: it works on the matrix's two bit planes, packed as in
 :mod:`hlcd4.gf4`, each held as one Python int, and clears a pivot column
@@ -47,10 +51,14 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("operands must be 2-d matrices")
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
+    return _product(a, b)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of checked matrices of matching inner size."""
     # products[i, l, j] = a[i, l] * b[l, j]; XOR-reduce the middle axis (to
     # zeros when it is empty).
-    products = MUL[a[:, :, None], b[None, :, :]]
-    return np.bitwise_xor.reduce(products, axis=1)
+    return np.bitwise_xor.reduce(MUL[a[:, :, None], b[None, :, :]], axis=1)
 
 
 def conj_transpose(m: np.ndarray) -> np.ndarray:
@@ -58,10 +66,21 @@ def conj_transpose(m: np.ndarray) -> np.ndarray:
     return CONJ[m.T]
 
 
+def _gram(g: np.ndarray) -> np.ndarray:
+    """The Gram matrix of a checked matrix: entry (i, j) is (g_i, g_j)_h."""
+    return _product(g, CONJ[g.T])
+
+
 def gram(g: np.ndarray) -> np.ndarray:
-    """The k x k matrix of pairwise Hermitian inner products of rows of g."""
+    """The k x k matrix of pairwise Hermitian inner products of rows of g.
+
+    Raises:
+        DimensionMismatchError: if g is not a 2-d matrix.
+    """
     g = elements(g)
-    return multiply(g, conj_transpose(g))
+    if g.ndim != 2:
+        raise DimensionMismatchError("operand must be a 2-d matrix")
+    return _gram(g)
 
 
 def _eliminate(lo: int, hi: int, rows: int, stride: int, first: int) -> tuple[int, int, list[int]]:
@@ -203,12 +222,11 @@ def standard_form(g: np.ndarray) -> StandardForm:
     Raises:
         RankDeficientError: if g does not have full row rank.
     """
-    g = elements(g)
-    k, n = g.shape
     R, pivots = rref(g)
+    k, n = R.shape
     if len(pivots) != k:
         raise RankDeficientError(f"matrix has rank {len(pivots)}, expected {k}")
-    rest = [c for c in range(n) if c not in set(pivots)]
+    rest = sorted(set(range(n)).difference(pivots))
     perm = np.array(list(pivots) + rest, dtype=np.intp)
     return StandardForm(matrix=R[:, perm], permutation=perm)
 

@@ -476,7 +476,7 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         # generator's Gram matrix is I + A conj(A)^T.
         code = start if start is not None else random_lcd(n, k, _candidate_rng(config.seed, index))
         a = code.gen[:, k:]
-        return a, linalg.gram(a), _min_weight(code).best
+        return a, linalg._gram(a), _min_weight(code).best
 
     a, gram, current_d = fresh(0)
     plateau = 0
@@ -485,7 +485,7 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
         index += 1
         pair = sample_isotropic_pair(n - k, _candidate_rng(config.seed, index))
         moved = _axy_update(a, pair)
-        if not np.array_equal(linalg.gram(moved), gram):
+        if not np.array_equal(linalg._gram(moved), gram):
             raise AssertionError("two-vector update changed the Gram matrix")
         d = None
         if _light_survivors(moved[None], current_d).size:

@@ -45,7 +45,7 @@ from .errors import (
     PreconditionError,
     ZeroVectorError,
 )
-from .gf4 import MUL, OMEGA2, elements, from_symbols, hermitian_inner, to_symbols
+from .gf4 import CONJ, MUL, OMEGA2, elements, from_symbols, to_symbols
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ class IsotropicPair:
     The only validator of a pair: every use of the update takes one.
 
     Raises:
-        ValueError: if an entry is not a field element (0..3).
+        ValueError: if x or y is not a vector (1-d), or an entry is not a
+            field element (0..3).
         LengthMismatchError: if x and y differ in length.
         ZeroVectorError: if x or y is zero.
         IsotropyError: if any of the three inner products is nonzero.
@@ -108,30 +109,30 @@ class IsotropyReport:
 
 def check_isotropic(x: np.ndarray, y: np.ndarray) -> IsotropyReport:
     """Evaluate the pair conditions; a pair that fails them is reported,
-    not refused.
+    not refused.  The three products are entries of the Gram matrix of the
+    rows x and y.
 
     Raises:
-        ValueError: if an entry is not a field element (0..3).
+        ValueError: if x or y is not a vector (1-d), or an entry is not a
+            field element (0..3).
         LengthMismatchError: if x and y differ in length.
     """
     x, y = elements(x), elements(y)
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError(f"x and y must be vectors, got shapes {x.shape} and {y.shape}")
     if x.shape != y.shape:
         raise LengthMismatchError(f"lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    return IsotropyReport(
-        xx=hermitian_inner(x, x),
-        yy=hermitian_inner(y, y),
-        xy=hermitian_inner(x, y),
-        x_is_zero=not x.any(),
-        y_is_zero=not y.any(),
-    )
+    (xx, xy), (_, yy) = linalg._gram(np.vstack([x, y])).tolist()
+    return IsotropyReport(xx, yy, xy, x_is_zero=not x.any(), y_is_zero=not y.any())
 
 
 def _axy_update(a: np.ndarray, pair: IsotropicPair) -> np.ndarray:
     """The A block with each row a_i replaced by
-    a_i + (a_i, y)_h x + (a_i, x)_h y."""
+    a_i + (a_i, y)_h x + (a_i, x)_h y.  ``a`` is already checked, as the
+    pair's vectors are, so nothing is checked again."""
     x, y = pair.x, pair.y
     # Row-wise inner products of the A block with y and with x.
-    ip_y, ip_x = linalg.multiply(a, linalg.conj_transpose(np.vstack([y, x]))).T
+    ip_y, ip_x = linalg._product(a, CONJ[np.vstack([y, x]).T]).T
     return a ^ MUL[ip_y[:, None], x[None, :]] ^ MUL[ip_x[:, None], y[None, :]]
 
 
@@ -153,12 +154,14 @@ def axy_construct(
         a'_i = a_i + (a_i, y)_h x + (a_i, x)_h y.
 
     Raises:
+        ValueError: if an entry of a raw generator matrix is not a field
+            element (0..3).
         NotStandardFormError: if the left block is not the identity.
         LengthMismatchError: if x or y does not have length n - k.
         ZeroVectorError, IsotropyError: from IsotropicPair, for raw x and y
             that are not a valid pair.
     """
-    gen = code.gen if isinstance(code, LinearCode) else np.asarray(code, dtype=np.uint8)
+    gen = code.gen if isinstance(code, LinearCode) else elements(code)
     k, n = gen.shape
     if k < 1 or n <= k:
         raise NotStandardFormError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -226,7 +229,7 @@ def shorten(code: LinearCode, coords: Union[int, Sequence[int]]) -> LinearCode:
     # null space of G restricted to those columns.
     restricted = code.gen[:, drop]
     messages = linalg.kernel(restricted.T)
-    words = linalg.multiply(messages, code.gen)
+    words = linalg._product(messages, code.gen)
     return LinearCode(words[:, keep])
 
 
@@ -303,7 +306,7 @@ def orthonormalize(code: LinearCode) -> np.ndarray:
     k = code.k
     for step in range(k):
         block = W[step:]
-        g = linalg.gram(block)
+        g = linalg._gram(block)
         diag = np.diagonal(g)
         odd = np.nonzero(diag == 1)[0]
         if odd.size:
@@ -319,9 +322,9 @@ def orthonormalize(code: LinearCode) -> np.ndarray:
             W[step] ^= MUL[MUL[OMEGA2, g[0, j]], block[j]]
         v = W[step]
         rest = W[step + 1 :]
-        ips = linalg.multiply(rest, linalg.conj_transpose(v[None, :]))
+        ips = linalg._product(rest, CONJ[v[:, None]])
         rest ^= MUL[ips, v[None, :]]
-    if not np.array_equal(linalg.gram(W), linalg.identity(k)):
+    if not np.array_equal(linalg._gram(W), linalg.identity(k)):
         raise NotLcdError("orthonormalization failed to reach the identity Gram")
     return W
 

@@ -175,11 +175,13 @@ def test_engine_and_summary_reuse_reductions(monkeypatch):
 
 def test_summarize_computes_the_gram_matrix_once(monkeypatch):
     # Nothing caches the Gram matrix: each read of ``gram`` computes it, so
-    # the summary reads it once for both hull_dim and is_even.
+    # the summary reads it once for both hull_dim and is_even.  A code's
+    # generator is checked when the code is built, so the read goes through
+    # the unchecked core.
     c = random_standard(np.random.default_rng(3), 12, 5)
     calls = []
-    gram = linalg.gram
-    monkeypatch.setattr(linalg, "gram", lambda g: calls.append(g.shape) or gram(g))
+    gram = linalg._gram
+    monkeypatch.setattr(linalg, "_gram", lambda g: calls.append(g.shape) or gram(g))
     c.summarize()
     assert calls == [(5, 12)]
     assert c.gram is not c.gram and not c.gram.flags.writeable

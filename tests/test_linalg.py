@@ -281,6 +281,44 @@ def test_entries_outside_the_field_are_refused(call):
         call()
 
 
+def test_entries_are_checked_once_where_they_enter(monkeypatch):
+    # Every module that imports ``elements`` calls it through its own
+    # namespace; counting there counts every entry check in the package.
+    import hlcd4
+    from hlcd4 import cli, code, search, tables, transform
+    from hlcd4.transform import IsotropicPair, _axy_update
+
+    elements, calls = gf4.elements, []
+    modules = [
+        m for m in (hlcd4, gf4, linalg, code, transform, search, tables, cli)
+        if getattr(m, "elements", None) is elements
+    ]
+    assert {gf4, linalg, code, transform} <= set(modules)
+    for module in modules:
+        monkeypatch.setattr(module, "elements", lambda a: calls.append(1) or elements(a))
+
+    def checks(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    g = random_full_rank(np.random.default_rng(5), 4, 9)
+    pair = IsotropicPair(gf4.vector([1, 1, 0, 0, 0]), gf4.vector([0, 0, 1, 1, 0]))
+    c = code.LinearCode(g)
+    assert checks(code.LinearCode, g) == 1
+    for read in (lambda: c.gram, c.hull_dim, c.is_lcd, c.is_even):
+        assert checks(read) == 0
+    assert checks(_axy_update, c.gen[:, 4:], pair) == 0
+    assert checks(linalg.gram, g) == 1
+    assert checks(linalg.multiply, g, g.T) == 2
+    assert checks(linalg.standard_form, g) == 1
+
+
+def test_gram_refuses_a_vector():
+    with pytest.raises(DimensionMismatchError):
+        linalg.gram([1, 2, 3])
+
+
 def test_public_functions_take_nested_lists():
     g = [[1, 0, 2], [0, 1, 3]]
     sf = linalg.standard_form(g)

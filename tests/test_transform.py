@@ -87,6 +87,37 @@ def test_check_isotropic_report_fields():
     assert r.xx == 0
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [(1, 1), ([[1, 1]], [[1, 1]]), ([[1], [1]], [[1], [1]]), ([1, 1], [[1, 1]])],
+    ids=["scalars", "rows", "columns", "vector-and-row"],
+)
+def test_pair_refuses_inputs_that_are_not_vectors(x, y):
+    with pytest.raises(ValueError, match="must be vectors"):
+        check_isotropic(x, y)
+    with pytest.raises(ValueError, match="must be vectors"):
+        IsotropicPair(x, y)
+
+
+def test_check_isotropic_of_empty_vectors():
+    r = check_isotropic([], [])
+    assert (r.xx, r.yy, r.xy, r.x_is_zero, r.y_is_zero) == (0, 0, 0, True, True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_check_isotropic_matches_hermitian_inner(data):
+    # The three products are read off one Gram matrix; each must equal the
+    # inner product taken on its own.
+    n = data.draw(st.integers(0, 20), label="n")
+    vectors = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    x, y = (np.array(data.draw(vectors, label=v), dtype=np.uint8) for v in "xy")
+    r = check_isotropic(x, y)
+    products = hermitian_inner(x, x), hermitian_inner(y, y), hermitian_inner(x, y)
+    assert (r.xx, r.yy, r.xy) == products
+    assert all(type(v) is int for v in (r.xx, r.yy, r.xy))
+
+
 # --- the two-vector update -------------------------------------------------
 
 
@@ -171,6 +202,14 @@ def test_axy_update_property(data):
         assert isinstance(exc.value, IsotropyError)
         assert (exc.value.xx, exc.value.yy, exc.value.xy) == (0, 0, 0)
         assert exc.value.fields == {"xx": 0, "yy": 0, "xy": 0}
+
+
+@pytest.mark.parametrize("entry", [1.7, 5, -1, 256])
+def test_axy_refuses_raw_generators_outside_the_field(entry):
+    # 1.7 would truncate to 1 and 256 wrap to 0; 5 would index past MUL.
+    pair = IsotropicPair.from_symbols("1w", "1w")
+    with pytest.raises(ValueError, match="entries must be in 0..3"):
+        axy_construct([[1, 0, entry, 0], [0, 1, 1, 1]], pair)
 
 
 def test_axy_accepts_matrix_and_separate_vectors():
