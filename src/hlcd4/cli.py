@@ -16,8 +16,10 @@ search also records the candidates it tried.  Timing never enters the
 header, so reruns of a seeded command are byte-identical.
 Search is serial and its result depends only on the seed and the candidate
 index; ``search --threads`` is accepted and ignored.
-Each ``main`` call builds a parser that lists every subcommand but adds the
-options of the one it runs only, which is most of the parser's cost.
+Each ``main`` call builds a parser that lists every subcommand by name and
+help line, and gives only the one it runs its options and its ``-h``;
+those are most of the parser's cost.  The parser is not cached (ROADMAP
+item 1).
 
 Exit codes: 0 success, 1 domain error (a JSON object describing it goes to
 standard error; a search that uses its budget without a hit is a
@@ -355,12 +357,14 @@ _COMMANDS = {
 }
 
 
-# Every subcommand is registered with its help, so the top-level help, the
-# choices and the usage errors are the full parser's; only the invoked one
-# gets its options, which are most of the cost of building the parser.  It
-# is not cached yet: faster calls fit more passes into a perfbench run, whose
-# harness keeps every pass's outputs, and peak_rss_mib would pass its bound
-# (ROADMAP item 1).
+# Every subcommand is registered with its help line, so the top-level help,
+# the choices and the usage errors are the full parser's.  Only the invoked
+# one gets its options and a -h action, which are most of the cost of
+# building the parser: argparse dispatches on the token _parser_for picked,
+# or on one that names no subcommand, which the top-level parser reports as
+# an invalid choice.  It is not cached yet: faster calls fit more passes into
+# a perfbench run, whose harness keeps every pass's outputs, and
+# peak_rss_mib would pass its bound (ROADMAP item 1).
 def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hlcd4",
@@ -369,7 +373,7 @@ def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"hlcd4 {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, options) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
             for flags, keywords in options:
                 sp.add_argument(*flags, **keywords)

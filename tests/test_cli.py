@@ -701,6 +701,13 @@ def test_valid_argvs_cover_every_subcommand():
         *([name, "-h"] for name in cli._COMMANDS),
         *VALID_ARGVS,
         *usage_error_argvs("c.code", "results"),
+        # A second subcommand name: after the invoked one, as an option's
+        # value, or after the top-level -h.
+        ["info", "search"],
+        ["search", "info", "-h"],
+        ["dual", "-h", "info"],
+        ["verify-table", "--results", "info"],
+        ["-h", "info"],
     ],
     ids=" ".join,
 )
@@ -710,6 +717,34 @@ def test_parser_matches_the_full_parser(argv):
     # the same code and the same text.
     main_parser = cli._parser_for(argv)
     assert outcome(main_parser.parse_args, argv) == outcome(full_parser().parse_args, argv)
+
+
+VOCABULARY = sorted(
+    {*cli._COMMANDS, "-h", "--version", "--", "-", "-1", "c.code", "3"}
+    | {flag for _, _, options in cli._COMMANDS.values() for flags, _ in options for flag in flags}
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(VOCABULARY), max_size=6))
+def test_parser_matches_the_full_parser_on_any_argv(argv):
+    assert outcome(cli._parser_for(argv).parse_args, argv) == outcome(
+        full_parser().parse_args, argv
+    )
+
+
+def subparsers(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_one_call_builds_one_subcommand_in_full(name):
+    # The invoked subcommand has the full parser's options and help; every
+    # other one is a name and a help line, with no -h of its own.
+    built = subparsers(cli._build_parser(name))
+    assert built[name].format_help() == subparsers(full_parser())[name].format_help()
+    assert not any("-h" in sp.format_usage() for other, sp in built.items() if other != name)
 
 
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
