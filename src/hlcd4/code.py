@@ -21,7 +21,8 @@ step rejects before the next.  The engine, ``_min_weight``, takes a
 code is reduced once, when it is built.  It is one loop: it enumerates
 messages by weight over several information sets (Brouwer-Zimmermann), each
 built by one packed elimination (``linalg._eliminate``, shared with row
-reduction), and stops once a lower bound on the weight of every codeword not
+reduction), or over set 0 alone where a cost model projects that to be the
+cheaper, and stops once a lower bound on the weight of every codeword not
 yet seen meets the best weight found, at the cutoff, or at the enumeration
 budget, which counts the codewords enumerated.  An independent oracle
 counts the weight of every codeword from scratch, of the code itself for
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, inf, prod
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -496,6 +497,23 @@ def _light_survivors(a: np.ndarray, target: int) -> np.ndarray:
 # depends only on its shape, the one-XOR path's compress mask and the
 # count type, is cached, not rebuilt at every step.
 #
+# Before any set after set 0 is built, the engine picks its plan: every set,
+# or set 0 alone, enumerated through every message weight, which sees each
+# projective class once and has bound w + 1 after weight w (its
+# ``_schedule`` has the one deficit 0).  Set 0 alone pays no elimination but
+# its bound grows by one a round, not by the number of sets; it is taken
+# where its whole (4^k - 1) / 3 codewords are projected to cost clearly less
+# than the sets' run (``_alone_above``, ``_sets_limit``), which in the
+# table's range is possible only for k <= 9.  Both plans run the same loop,
+# enumerator and stop rule, and the plan depends on the code alone, never
+# on the cutoff or the budget.
+#
+# Over every set, the engine builds only the sets it can reach.  Its first
+# step finds the rows of set 0, whose weights bound d from above, and it
+# ends before any step whose bound reaches one of them; a partial set whose
+# first step cannot come sooner is not built (``_information_sets``).  The
+# [17,13] quadric's second set, for one, would first be used in round 9.
+#
 # The light test (``_light_survivors``) runs the same steps, v = 1, 2, 3,
 # on set 0 of a whole batch of (I_k | A) codes, the batch on a last axis of
 # every array; its chunks hold fewer codewords, so that one stays near
@@ -537,14 +555,24 @@ class _InfoSet:
     kept: int = 1
 
 
-def _information_sets(code: LinearCode) -> list[_InfoSet]:
-    """Greedy information sets of ``code``, in order of use.
+def _information_sets(code: LinearCode, limit: float = inf) -> list[_InfoSet]:
+    """Greedy information sets of ``code``, in order of use, but none that
+    ``_schedule`` could first enumerate only at a bound of ``limit`` or
+    more.
 
     Set 0 is the code's reduced form in column order, its packed planes and
     pivots as the code keeps them.  Every set's planes stay Python ints
     until the last set is found; one conversion and one transpose then make
     the (S, 2, W, k, 3) table of all S sets, and each set's ``rows`` is a
     view of it.
+
+    A limit of 0 builds set 0 alone.  Otherwise, a set takes at most the
+    columns that no earlier set took, so when those are ``short`` fewer
+    than k, its deficit is at least ``short``: it is first enumerated in
+    round ``short`` or later, when each full set before it has added at
+    least short + 1 to the bound.  Where that sum reaches ``limit``,
+    neither this set nor any later one is built.  No limit above n stops a
+    set.
     """
     k, n = code.k, code.n
     stride = _stride(n)
@@ -568,7 +596,10 @@ def _information_sets(code: LinearCode) -> list[_InfoSet]:
         multiples += [x for plane in zip(*_plane_multiples(*a)) for x in plane]
         deficits.append(k - fresh.bit_count())
         unused ^= fresh
-        if not unused:
+        if not unused or not limit:
+            break
+        short = k - unused.bit_count()
+        if short > 0 and deficits.count(0) * (short + 1) >= limit:
             break
         lo, hi, pivots = linalg._eliminate(lo, hi, k, stride, unused)
     # Every set at once, as (S, 2, 3, k, W) words laid out as (S, 2, W, k, 3).
@@ -714,23 +745,92 @@ def _schedule(k: int, deficits: list[int]):
                 bound += done[j] >= deficit
 
 
+# The engine's costs in enumerated codewords: a step (one set, one message
+# weight) and each information set after set 0.  Least-squares fits of
+# ``_min_weight``'s time on both plans, at the table's shapes with k <= 10
+# and eight more up to [100,9] (2 vCPU), gave about 6.5 us a step, 6.4 us
+# a set and 2.5 ns a codeword.  The fits were off by up to a quarter, and
+# the sets' run is projected to the lightest row's weight, which d may
+# well be below; so set 0 alone is taken only where it is projected to
+# cost at most 2/3 of the sets' run.
+_STEP_COST = 2600
+_SET_COST = 2600
+
+
+@functools.cache
+def _alone_above(n: int, k: int) -> int:
+    """The weight of the lightest row of set 0 above which ``_min_weight``
+    enumerates set 0 alone.
+
+    Set 0 alone is priced as its k steps and all its (4^k - 1) / 3
+    codewords.  The sets are projected as floor(n / k) full sets and one
+    partial set of the n mod k columns left: the steps of their
+    ``_schedule`` that the run needs before its bound reaches the lightest
+    row's weight, which bounds d from above (the first step always runs),
+    and ``_SET_COST`` for every full set after set 0 and for the partial
+    set if one of those steps is its first.  Only the projection depends
+    on the code, through that weight, and it only grows with it.  Returns
+    0 where set 0 alone is taken whatever the rows weigh, and n where it
+    never is (no row weighs more than n - k + 1).
+    """
+    full, part = divmod(n, k)
+    deficits = [0] * full + [k - part] * (part > 0)
+    alone = k * _STEP_COST + (4**k - 1) // 3
+    cost = _SET_COST * (full - 1)
+    for step, (j, v, bound) in enumerate(_schedule(k, deficits)):
+        cost += _STEP_COST + _layer_size(k, v) + _SET_COST * (j == full and v == 1)
+        if 2 * cost > 3 * alone:
+            return bound if step else 0
+    return n
+
+
+def _sets_limit(code: LinearCode) -> int:
+    """The ``limit`` of ``_min_weight``'s information sets: 0, set 0
+    alone, where every row of set 0 weighs more than ``_alone_above``, and
+    otherwise the weight of row 0, since the first step enumerates the rows
+    of set 0 and the run ends before any step whose bound reaches the weight
+    of one of them.
+
+    No row weighs more than n - k + 1, so where the plan does not depend on
+    the rows (every k >= 10 in the table's range) only row 0 is read;
+    otherwise the rows are read up to the first at or below the threshold.
+    """
+    k, n = code._gen.shape
+    above = _alone_above(n, k)
+    if not above:
+        return 0
+    x, stride, row = code._reduced[0] | code._reduced[1], _stride(n), (1 << n) - 1
+    row0 = (x & row).bit_count()
+    if row0 <= above:
+        return row0
+    for _ in range(k - 1):
+        x >>= stride
+        if (x & row).bit_count() <= above:
+            return row0
+    return 0
+
+
 def _min_weight(code: LinearCode, cutoff: Optional[int] = None, budget: Optional[int] = None) -> _Weight:
     """Minimum weight of ``code``, from its packed reduced planes.
 
     Information-set codewords are enumerated by message weight, one
-    ``_schedule`` step at a time.  The enumeration stops, exact, once the
-    step's lower bound meets the best weight seen or a codeword at or below
-    the bound turns up; not exact, at the first codeword below ``cutoff``,
-    or once ``budget`` codewords have been enumerated.  Codewords count as
-    they are enumerated, so a budget of the unbounded run's ``tried``
-    completes.
+    ``_schedule`` step at a time, on every set the run can reach or, where
+    that is projected to cost less (``_sets_limit``), on set 0 alone,
+    through every message weight: then each projective class is seen once,
+    and the bound is w + 1 after weight w.  The plan depends on the code
+    alone, not on ``cutoff`` or ``budget``.  The enumeration stops, exact,
+    once the step's lower bound meets the best weight seen or a codeword at
+    or below the bound turns up; not exact, at the first codeword below
+    ``cutoff``, or once ``budget`` codewords have been enumerated.
+    Codewords count as they are enumerated, so a budget of the unbounded
+    run's ``tried`` completes.
 
     Raises:
         ValueError: if ``budget`` is below 1.
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    sets = _information_sets(code)
+    sets = _information_sets(code, _sets_limit(code))
     k, n = code.k, code.n
     best, tried, bound = n + 1, 0, 0
 

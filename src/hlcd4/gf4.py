@@ -172,6 +172,7 @@ def _unpack_planes(planes: np.ndarray, m: int) -> np.ndarray:
     return bits[0] | bits[1] << 1
 
 
+@functools.cache
 def _stride(m: int) -> int:
     """Bits per packed row of m symbols: W = ceil(m / 64) words of
     ``_word_type(m)``, one when m = 0."""

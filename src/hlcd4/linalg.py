@@ -5,19 +5,20 @@ through the tables in :mod:`hlcd4.gf4`.  Each public function checks each
 of its arguments once, through ``gf4.elements``, which raises ValueError
 for an entry outside the field instead of letting it wrap, and no public
 function hands checked input to another.  Their unchecked cores,
-``_product``, ``_gram`` and ``_reduce``, take arrays already checked: the
-package calls them on generators that came in through ``LinearCode`` and
-on the vectors of an ``IsotropicPair``.  Row reduction has one
-eliminator, ``_eliminate``, shared by ``rref`` and the minimum-weight engine's
-information sets: it works on the matrix's two bit planes, packed as in
-:mod:`hlcd4.gf4`, each held as one Python int, and clears a pivot column
-in every row with a few whole-matrix integer operations.  A pivot column
-that is already the unit column of its row takes one test and no row
-operations, so a matrix already in reduced form, like (I | A), costs about
-one test per row.  Row reduction picks the first nonzero entry scanning
-top-to-bottom in the leftmost unresolved column, so the reduced form is
-deterministic and serves as the canonical representative for code
-equality; ``rank`` counts its pivots without unpacking it.
+``_product``, ``_gram``, ``_reduce``, ``_rref``, ``_null_basis`` and
+``_standard_form``, take arrays already checked: the package calls them on
+generators that came in through ``LinearCode`` and on the vectors of an
+``IsotropicPair``.  Row reduction has one eliminator, ``_eliminate``,
+shared by ``rref`` and the minimum-weight engine's information sets: it
+works on the matrix's two bit planes, packed as in :mod:`hlcd4.gf4`, each
+held as one Python int, and clears a pivot column in every row with a few
+whole-matrix integer operations.  A pivot column that is already the unit
+column of its row takes one test and no row operations, so a matrix
+already in reduced form, like (I | A), costs about one test per row.  Row
+reduction picks the first nonzero entry scanning top-to-bottom in the
+leftmost unresolved column, so the reduced form is deterministic and
+serves as the canonical representative for code equality; ``rank`` counts
+its pivots without unpacking it.
 """
 
 from __future__ import annotations
@@ -159,7 +160,11 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivot; pivot_cols lists the pivot column indices in order.  The row
         space of R equals the row space of m.
     """
-    m = elements(m)
+    return _rref(elements(m))
+
+
+def _rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``rref`` of a checked matrix."""
     *planes, pivots = _reduce(m)
     return _unpack_planes(_from_ints(planes, *m.shape), m.shape[1]), pivots
 
@@ -222,7 +227,12 @@ def standard_form(g: np.ndarray) -> StandardForm:
     Raises:
         RankDeficientError: if g does not have full row rank.
     """
-    R, pivots = rref(g)
+    return _standard_form(elements(g))
+
+
+def _standard_form(g: np.ndarray) -> StandardForm:
+    """``standard_form`` of a checked matrix."""
+    R, pivots = _rref(g)
     k, n = R.shape
     if len(pivots) != k:
         raise RankDeficientError(f"matrix has rank {len(pivots)}, expected {k}")

@@ -466,7 +466,7 @@ def _search_axy(config: SearchConfig) -> tuple[Optional[LinearCode], int]:
             raise PreconditionError(f"base is [{base.n},{base.k}], expected [{n},{k}]")
         if not base.is_lcd():
             raise PreconditionError("base code is not LCD")
-        start = LinearCode(linalg.standard_form(base.gen).matrix)
+        start = LinearCode(linalg._standard_form(base.gen).matrix)
     else:
         start = None
     eye = linalg.identity(k)

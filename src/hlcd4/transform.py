@@ -210,7 +210,7 @@ def puncture(code: LinearCode, coords: Union[int, Sequence[int]]) -> LinearCode:
     drop, keep = _normalize_coords(coords, code.n, "puncture")
     if not drop:
         return code
-    R, pivots = linalg.rref(code.gen[:, keep])
+    R, pivots = linalg._rref(code.gen[:, keep])
     return LinearCode(R[: len(pivots)])
 
 
@@ -228,7 +228,7 @@ def shorten(code: LinearCode, coords: Union[int, Sequence[int]]) -> LinearCode:
     # Messages m with (m G) zero on the dropped coordinates form the left
     # null space of G restricted to those columns.
     restricted = code.gen[:, drop]
-    messages = linalg.kernel(restricted.T)
+    messages = linalg._null_basis(*linalg._rref(restricted.T))
     words = linalg._product(messages, code.gen)
     return LinearCode(words[:, keep])
 

@@ -309,9 +309,13 @@ def test_entries_are_checked_once_where_they_enter(monkeypatch):
     for read in (lambda: c.gram, c.hull_dim, c.is_lcd, c.is_even):
         assert checks(read) == 0
     assert checks(_axy_update, c.gen[:, 4:], pair) == 0
+    # puncturing and shortening check only the code they build
+    assert checks(transform.puncture, c, [2, 7]) == 1
+    assert checks(transform.shorten, c, [2, 7]) == 1
     assert checks(linalg.gram, g) == 1
     assert checks(linalg.multiply, g, g.T) == 2
     assert checks(linalg.standard_form, g) == 1
+    assert checks(linalg._standard_form, g) == 0
 
 
 def test_gram_refuses_a_vector():

@@ -107,6 +107,67 @@ def test_engine_matches_oracle(gen):
             assert engine(gen, mode, budget=r.tried - 1).stop == "budget", mode
 
 
+@PROPERTY
+@given(generators())
+@example(K_ONE)
+@example(K_FULL)
+@example(LATE[0])
+@example(LATE[1])
+def test_both_plans_match_oracle(gen):
+    # Each plan, forced, gives the oracle's d exactly and completes at a
+    # budget of its own count; the plans differ only in that count.  Set 0
+    # alone sees each projective class at most once, and every one of them
+    # when d > k.
+    c = LinearCode(gen)
+    k = c.k
+    d = min_weight_oracle(c)
+    runs = []
+    for alone in (True, False):
+        # A threshold of 0 takes set 0 alone; one of n, which no row
+        # weighs more than, takes every set.
+        with mock.patch("hlcd4.code._alone_above", lambda n, k: 0 if alone else n):
+            r = _min_weight(c)
+            assert (r.best, r.exact, r.bound, r.stop) == (d, True, d, "bound"), alone
+            assert _min_weight(c, budget=r.tried) == r, alone
+            cut = _min_weight(c, cutoff=d + 1)
+            assert (cut.stop, cut.exact, cut.best) == ("cutoff", False, d), alone
+        runs.append(r)
+    alone, every = runs
+    assert alone._replace(tried=0) == every._replace(tried=0)
+    assert alone.tried <= (4**k - 1) // 3
+    assert alone.tried == (4**k - 1) // 3 or d <= k
+
+
+@pytest.mark.parametrize(
+    "c, alone",
+    [
+        (random_lcd(24, 4, 1), True),
+        (random_lcd(30, 6, 1), True),
+        (random_lcd(60, 5, 1), True),
+        (random_lcd(100, 9, 1), True),
+        (elliptic_quadric_code(), False),
+        (random_lcd(26, 13, 1), False),
+        (random_lcd(64, 11, 1), False),
+        (random_lcd(70, 11, 1), False),
+        (random_lcd(16, 8, 1), False),
+    ],
+    ids=[
+        "[24,4]", "[30,6]", "[60,5]", "[100,9]",
+        "[17,13] quadric", "[26,13]", "[64,11]", "[70,11]", "[16,8]",
+    ],
+)
+def test_plan_at_pinned_shapes(c, alone):
+    # The cost model's choice at these shapes, so that a change to it shows.
+    assert (code._sets_limit(c) == 0) is alone
+
+
+@pytest.mark.parametrize("n, k", [(17, 13), (26, 13), (16, 8)])
+def test_plan_does_not_depend_on_the_rows_where_every_set_is_cheaper(n, k):
+    # No row weighs more than n - k + 1, so every set is taken whatever the
+    # rows weigh, and only row 0 is read.
+    assert code._alone_above(n, k) > n - k
+
+
 def information_sets_reference(gen):
     """The information sets built from symbols: each set reduces the
     generator with the unused columns first and the used ones after, in
@@ -261,6 +322,53 @@ def test_engine_matches_oracle_at_high_rate(gen):
     d = min_weight_oracle(c)
     r = _min_weight(c)
     assert (r.best, r.exact, r.bound, r.stop) == (d, True, d, "bound")
+
+
+def build_every_set(c, limit):
+    return _information_sets(c)
+
+
+@PROPERTY
+@given(st.one_of(generators(), high_rate_generators()), st.integers(1, 40), st.integers(1, 3000))
+@example(K_ONE, 1, 1)
+@example(K_FULL, 2, 5)
+@example(LATE[0], 3, 100)
+@example(LATE[1], 3, 100)
+@example(elliptic_quadric_code().gen, 4, 2000)
+def test_unreachable_sets_change_no_result(gen, t, budget):
+    # Over every set, the engine leaves unbuilt the sets it cannot reach:
+    # every field of its result, with or without a cutoff or a budget, is
+    # that of the run with every set built.
+    c = LinearCode(gen)
+    with mock.patch("hlcd4.code._alone_above", lambda n, k: n):
+        for kwargs in ({}, {"cutoff": t}, {"budget": budget}):
+            got = _min_weight(c, **kwargs)
+            with mock.patch("hlcd4.code._information_sets", build_every_set):
+                assert got == _min_weight(c, **kwargs), kwargs
+
+
+@pytest.mark.parametrize(
+    "c, built, every",
+    [
+        (elliptic_quadric_code(), 1, 2),
+        (random_lcd(24, 20, 1), 1, 2),
+        (random_lcd(30, 13, 1), 2, 3),
+        (random_lcd(26, 13, 1), 2, 3),
+        (random_lcd(70, 11, 1), 7, 7),
+        (random_lcd(64, 11, 1), 6, 6),
+        (random_lcd(24, 4, 1), 6, 6),
+    ],
+    ids=["[17,13] quadric", "[24,20]", "[30,13]", "[26,13]", "[70,11]", "[64,11]", "[24,4]"],
+)
+def test_sets_built_for_the_run(c, built, every):
+    # The last set of the first four would first be used only after the
+    # bound has reached the weight of row 0 (4, 2, 11 and 12); at [70,11]
+    # the partial set comes at bound 48, below row 0's 49.  A limit of 0
+    # builds set 0 alone, however many columns are left.
+    row0 = np.count_nonzero(c.canonical[0])
+    assert len(_information_sets(c, row0)) == built
+    assert len(_information_sets(c)) == every
+    assert len(_information_sets(c, 0)) == 1
 
 
 def scrambled_standard(seed, n, k):
